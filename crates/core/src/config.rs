@@ -1,5 +1,6 @@
 //! CFSF hyper-parameters.
 
+use cf_cluster::KMeansConfig;
 use cf_matrix::PlanePrecision;
 use cf_similarity::GisConfig;
 
@@ -124,6 +125,27 @@ impl CfsfConfig {
             });
         }
         Ok(())
+    }
+
+    /// The GIS parameters the offline phase builds with: the neighbor
+    /// cap widened to hold the configured `M`, and the offline thread
+    /// count as the fallback for the GIS's own.
+    pub(crate) fn gis_config(&self) -> GisConfig {
+        let mut gis = self.gis.clone();
+        gis.max_neighbors = gis.max_neighbors.map(|cap| cap.max(self.m));
+        gis.threads = gis.threads.or(self.threads);
+        gis
+    }
+
+    /// The seeded K-means parameters the offline phase clusters with.
+    pub(crate) fn kmeans_config(&self) -> KMeansConfig {
+        KMeansConfig {
+            k: self.clusters,
+            max_iterations: self.kmeans_iterations,
+            seed: self.seed,
+            threads: self.threads,
+            ..KMeansConfig::default()
+        }
     }
 
     /// Builder-style override of `λ`.

@@ -1,6 +1,6 @@
 //! The fitted CFSF model: offline phase and `Predictor` implementation.
 
-use cf_cluster::{ClusterAssignment, ICluster, KMeansConfig, Smoothed, Smoother};
+use cf_cluster::{ClusterAssignment, ICluster, KMeans, Smoothed, Smoother};
 use cf_matrix::{DenseRatings, ItemId, Predictor, RatingMatrix, UserId, WeightPlanes};
 use cf_similarity::Gis;
 
@@ -75,38 +75,50 @@ impl Cfsf {
             return Err(CfsfError::EmptyTrainingMatrix);
         }
 
-        // Step 1: GIS (Eq. 5). The neighbor cap must accommodate the
-        // configured M.
-        let mut gis_config = config.gis.clone();
-        if let Some(cap) = gis_config.max_neighbors {
-            gis_config.max_neighbors = Some(cap.max(config.m));
-        }
-        gis_config.threads = gis_config.threads.or(config.threads);
-        let gis = Gis::build(matrix, &gis_config);
+        // Step 1: GIS (Eq. 5); step 2: clustering (Eq. 6); steps 3–4
+        // (smoothing, iCluster) run in `from_parts`.
+        let gis = Gis::build(matrix, &config.gis_config());
+        let clusters = KMeans::fit(matrix, &config.kmeans_config());
+        Ok(Self::from_parts(
+            config,
+            matrix.clone(),
+            gis,
+            clusters,
+            None,
+        ))
+    }
 
-        // Steps 2–4: clustering, smoothing, iCluster (Eq. 6–9).
-        let kmeans = KMeansConfig {
-            k: config.clusters,
-            max_iterations: config.kmeans_iterations,
-            seed: config.seed,
-            threads: config.threads,
-            ..Default::default()
-        };
-        let clusters = cf_cluster::KMeans::fit(matrix, &kmeans);
-        let smoothed = Smoother::smooth(matrix, &clusters, config.threads);
-        let icluster = ICluster::build(matrix, &smoothed, config.threads);
-
+    /// Assembles a servable model around its expensive offline structures
+    /// — the GIS and the K-means assignment — by deriving everything else:
+    /// smoothing and iCluster (Eq. 7–9), the dense online store, the
+    /// quantized weight planes (refolded from the sheet when `planes` is
+    /// `None`), the item strips and an empty neighbor cache. [`Cfsf::fit`],
+    /// [`Cfsf::load`] and the partial rebuild of
+    /// [`crate::SelfHealingCfsf`] all build here; only
+    /// [`Cfsf::reparameterize`] reuses a fitted model's smoothed sheet
+    /// instead. The planes are a deterministic fold of the sheet, so
+    /// passing stored planes or `None` yields the same model bit for bit.
+    pub(crate) fn from_parts(
+        config: CfsfConfig,
+        matrix: RatingMatrix,
+        gis: Gis,
+        clusters: ClusterAssignment,
+        planes: Option<WeightPlanes>,
+    ) -> Self {
+        let smoothed = Smoother::smooth(&matrix, &clusters, config.threads);
+        let icluster = ICluster::build(&matrix, &smoothed, config.threads);
         let dense = if config.use_smoothing {
             smoothed.dense.clone()
         } else {
-            DenseRatings::from_sparse(matrix)
+            DenseRatings::from_sparse(&matrix)
         };
-        let planes = WeightPlanes::from_dense_with(&dense, config.w, config.plane_precision);
+        let planes = planes.unwrap_or_else(|| {
+            WeightPlanes::from_dense_with(&dense, config.w, config.plane_precision)
+        });
         let strips = crate::strips::ItemStrips::build(&gis, config.m);
-
         let model = Self {
             config,
-            matrix: matrix.clone(),
+            matrix,
             gis,
             clusters,
             smoothed,
@@ -117,7 +129,7 @@ impl Cfsf {
             neighbor_cache: ShardedCache::new(crate::cache::DEFAULT_CAPACITY),
         };
         model.publish_footprint();
-        Ok(model)
+        model
     }
 
     /// The configuration the model was fitted with.

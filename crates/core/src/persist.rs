@@ -38,23 +38,18 @@
 //! matrix, so [`Cfsf::load_with_recovery`] rebuilds a corrupt one from
 //! the (intact) matrix section instead of refusing to load — the same
 //! computation [`Cfsf::fit`] runs, so the recovered model predicts
-//! identically. Version 2 streams (no generation, no planes section —
-//! planes recomputed from the smoothed sheet) and version 1 streams
-//! (unchecksummed, same payloads laid end to end) still load.
+//! identically. Version 3 is the only format this build reads or writes.
 
 use std::io::{self, Read, Write};
 
-use cf_cluster::{ClusterAssignment, ICluster, KMeans, KMeansConfig, Smoother};
-use cf_matrix::{DenseRatings, ItemId, MatrixBuilder, RatingMatrix, RatingScale, UserId};
+use cf_cluster::{ClusterAssignment, KMeans};
+use cf_matrix::{ItemId, MatrixBuilder, RatingMatrix, RatingScale, UserId};
 use cf_similarity::Gis;
 
-use crate::cache::ShardedCache;
 use crate::{Cfsf, CfsfConfig, CfsfError};
 
 const MAGIC: &[u8; 4] = b"CFSF";
 const VERSION: u32 = 3;
-const V2: u32 = 2;
-const V1: u32 = 1;
 
 const TAG_CONFIG: u32 = 1;
 const TAG_MATRIX: u32 = 2;
@@ -112,8 +107,8 @@ pub struct RecoveryReport {
     /// parse/validation) and the planes were refolded from the smoothed
     /// sheet — deterministic, so bit-identical to what the file stored.
     pub planes_rebuilt: bool,
-    /// The refresh generation id from the stream header (0 for V1/V2
-    /// streams and offline-fitted models).
+    /// The refresh generation id from the stream header (0 for
+    /// offline-fitted models).
     pub generation: u64,
 }
 
@@ -217,12 +212,7 @@ const LIMIT: u64 = 1 << 32;
 
 // --- section payload encoders ------------------------------------------
 
-/// `with_precision` appends the serving-plane precision as a trailing
-/// byte — an append-only payload extension the V2 section framing allows
-/// (old readers never saw it; new readers treat its absence as the
-/// pre-quantization default). The legacy V1 stream has no framing, so its
-/// writer/reader must agree on the exact field list and skip it.
-fn encode_config(c: &CfsfConfig, with_precision: bool) -> io::Result<Vec<u8>> {
+fn encode_config(c: &CfsfConfig) -> io::Result<Vec<u8>> {
     let mut w = Vec::new();
     put_u64(&mut w, c.clusters as u64)?;
     put_u64(&mut w, c.k as u64)?;
@@ -236,9 +226,7 @@ fn encode_config(c: &CfsfConfig, with_precision: bool) -> io::Result<Vec<u8>> {
     put_u64(&mut w, c.gis.max_neighbors.map_or(u64::MAX, |n| n as u64))?;
     put_u64(&mut w, c.seed)?;
     put_u8(&mut w, u8::from(c.use_smoothing))?;
-    if with_precision {
-        put_u8(&mut w, c.plane_precision.code())?;
-    }
+    put_u8(&mut w, c.plane_precision.code())?;
     Ok(w)
 }
 
@@ -283,12 +271,7 @@ fn encode_clusters(clusters: &ClusterAssignment) -> io::Result<Vec<u8>> {
 
 // --- section payload decoders ------------------------------------------
 
-/// `with_precision` mirrors [`encode_config`]: when set (V2 sections),
-/// an optional trailing precision byte is consumed — EOF there means the
-/// payload predates quantized planes (the section checksum already
-/// validated the payload, so a short read is a genuine old writer, not
-/// truncation) and defaults to [`cf_matrix::PlanePrecision::U16`].
-fn decode_config<R: Read>(r: &mut R, with_precision: bool) -> Result<CfsfConfig, PersistError> {
+fn decode_config<R: Read>(r: &mut R) -> Result<CfsfConfig, PersistError> {
     let clusters = get_usize(r, "clusters", LIMIT)?;
     let k = get_usize(r, "k", LIMIT)?;
     let m_param = get_usize(r, "m", LIMIT)?;
@@ -301,16 +284,9 @@ fn decode_config<R: Read>(r: &mut R, with_precision: bool) -> Result<CfsfConfig,
     let cap_raw = get_u64(r)?;
     let seed = get_u64(r)?;
     let use_smoothing = get_u8(r)? != 0;
-    let plane_precision = if with_precision {
-        match get_u8(r) {
-            Ok(code) => cf_matrix::PlanePrecision::from_code(code).ok_or_else(|| {
-                PersistError::Format(format!("unknown plane precision code {code}"))
-            })?,
-            Err(_) => cf_matrix::PlanePrecision::U16,
-        }
-    } else {
-        cf_matrix::PlanePrecision::U16
-    };
+    let code = get_u8(r)?;
+    let plane_precision = cf_matrix::PlanePrecision::from_code(code)
+        .ok_or_else(|| PersistError::Format(format!("unknown plane precision code {code}")))?;
     let config = CfsfConfig {
         clusters,
         lambda,
@@ -482,29 +458,6 @@ fn decode_section<'p, T>(
     Ok(value)
 }
 
-// --- rebuilding recoverable sections ------------------------------------
-
-/// The exact GIS [`Cfsf::fit`] would build for this config and matrix.
-fn rebuild_gis(config: &CfsfConfig, matrix: &RatingMatrix) -> Gis {
-    let mut gis_config = config.gis.clone();
-    if let Some(cap) = gis_config.max_neighbors {
-        gis_config.max_neighbors = Some(cap.max(config.m));
-    }
-    Gis::build(matrix, &gis_config)
-}
-
-/// The exact K-means assignment [`Cfsf::fit`] would build — seeded, so
-/// the recovered assignment matches what the file would have stored.
-fn rebuild_clusters(config: &CfsfConfig, matrix: &RatingMatrix) -> ClusterAssignment {
-    let kmeans = KMeansConfig {
-        k: config.clusters,
-        max_iterations: config.kmeans_iterations,
-        seed: config.seed,
-        ..Default::default()
-    };
-    KMeans::fit(matrix, &kmeans)
-}
-
 // --- model codec -------------------------------------------------------
 
 impl Cfsf {
@@ -521,7 +474,7 @@ impl Cfsf {
         w.write_all(MAGIC)?;
         put_u32(&mut w, VERSION)?;
         put_u64(&mut w, generation)?;
-        write_section(&mut w, TAG_CONFIG, &encode_config(&self.config, true)?)?;
+        write_section(&mut w, TAG_CONFIG, &encode_config(&self.config)?)?;
         write_section(&mut w, TAG_MATRIX, &encode_matrix(&self.matrix)?)?;
         write_section(&mut w, TAG_GIS, &encode_gis(&self.gis, &self.matrix)?)?;
         write_section(&mut w, TAG_CLUSTERS, &encode_clusters(&self.clusters)?)?;
@@ -535,85 +488,17 @@ impl Cfsf {
         self.save(io::BufWriter::new(f))
     }
 
-    /// Writes the legacy unchecksummed version-1 stream — kept only so
-    /// the compatibility tests can exercise the V1 load path.
-    #[cfg(test)]
-    pub(crate) fn save_v1<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        put_u32(&mut w, V1)?;
-        w.write_all(&encode_config(&self.config, false)?)?;
-        w.write_all(&encode_matrix(&self.matrix)?)?;
-        w.write_all(&encode_gis(&self.gis, &self.matrix)?)?;
-        w.write_all(&encode_clusters(&self.clusters)?)?;
-        w.flush()
-    }
-
-    /// Writes the previous checksummed version-2 stream (no generation,
-    /// no planes section) — kept only so the compatibility tests can
-    /// exercise the V2 load path.
-    #[cfg(test)]
-    pub(crate) fn save_v2<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        put_u32(&mut w, V2)?;
-        write_section(&mut w, TAG_CONFIG, &encode_config(&self.config, true)?)?;
-        write_section(&mut w, TAG_MATRIX, &encode_matrix(&self.matrix)?)?;
-        write_section(&mut w, TAG_GIS, &encode_gis(&self.gis, &self.matrix)?)?;
-        write_section(&mut w, TAG_CLUSTERS, &encode_clusters(&self.clusters)?)?;
-        w.flush()
-    }
-
-    /// Reassembles a servable model from its persisted structures,
-    /// recomputing the cheap linear passes (smoothing, iCluster, dense
-    /// store, item strips). When `planes` is `None` (V1/V2 streams, or a
-    /// V3 stream whose plane section was rebuilt) the quantized weight
-    /// planes are refolded from the smoothed sheet — the same
-    /// deterministic computation [`Cfsf::fit`] runs, so the result is
-    /// bit-identical to what a V3 writer would have stored.
-    fn assemble(
-        config: CfsfConfig,
-        matrix: RatingMatrix,
-        gis: Gis,
-        clusters: ClusterAssignment,
-        planes: Option<cf_matrix::WeightPlanes>,
-    ) -> Self {
-        let smoothed = Smoother::smooth(&matrix, &clusters, None);
-        let icluster = ICluster::build(&matrix, &smoothed, None);
-        let dense = if config.use_smoothing {
-            smoothed.dense.clone()
-        } else {
-            DenseRatings::from_sparse(&matrix)
-        };
-        let planes = planes.unwrap_or_else(|| {
-            cf_matrix::WeightPlanes::from_dense_with(&dense, config.w, config.plane_precision)
-        });
-        let strips = crate::strips::ItemStrips::build(&gis, config.m);
-        let model = Self {
-            config,
-            matrix,
-            gis,
-            clusters,
-            smoothed,
-            icluster,
-            dense,
-            planes,
-            strips,
-            neighbor_cache: ShardedCache::new(crate::cache::DEFAULT_CAPACITY),
-        };
-        model.publish_footprint();
-        model
-    }
-
-    /// Deserializes a model saved by [`Cfsf::save`] (or a legacy V1/V2
-    /// stream), verifying every section checksum. Predictions of the
-    /// loaded model are bit-identical to the original's. Any corruption
-    /// is an error here; see [`Cfsf::load_with_recovery`] for the
-    /// rebuild-what-can-be-rebuilt policy.
+    /// Deserializes a model saved by [`Cfsf::save`], verifying every
+    /// section checksum. Predictions of the loaded model are
+    /// bit-identical to the original's. Any corruption is an error here;
+    /// see [`Cfsf::load_with_recovery`] for the rebuild-what-can-be-rebuilt
+    /// policy.
     pub fn load<R: Read>(r: R) -> Result<Self, PersistError> {
         load_impl(r, false).map(|(model, _)| model)
     }
 
     /// [`Cfsf::load`] also returning the refresh generation id stamped in
-    /// the stream header (0 for V1/V2 streams and offline-fitted models).
+    /// the stream header (0 for offline-fitted models).
     pub fn load_with_generation<R: Read>(r: R) -> Result<(Self, u64), PersistError> {
         load_impl(r, false).map(|(model, report)| (model, report.generation))
     }
@@ -624,8 +509,7 @@ impl Cfsf {
     /// it is recomputed exactly as [`Cfsf::fit`] would (seeded K-means,
     /// deterministic plane folding) instead of failing the load. The
     /// config and matrix sections are ground truth — corruption there is
-    /// unrecoverable and errors like [`Cfsf::load`]. Legacy V1 streams
-    /// carry no checksums; they load strictly with an empty report.
+    /// unrecoverable and errors like [`Cfsf::load`].
     pub fn load_with_recovery<R: Read>(r: R) -> Result<(Self, RecoveryReport), PersistError> {
         load_impl(r, true)
     }
@@ -645,22 +529,20 @@ impl Cfsf {
     }
 }
 
-/// Checks the magic and returns the stream version plus the generation
-/// id (V3 carries it in the header; earlier versions read as 0).
-fn read_header<R: Read>(r: &mut R) -> Result<(u32, u64), PersistError> {
+/// Checks the magic and the version and returns the generation id.
+fn read_header<R: Read>(r: &mut R) -> Result<u64, PersistError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
         return Err(PersistError::Format("bad magic (not a CFSF model)".into()));
     }
     let version = get_u32(r)?;
-    match version {
-        V1 | V2 => Ok((version, 0)),
-        VERSION => Ok((VERSION, get_u64(r)?)),
-        _ => Err(PersistError::Format(format!(
-            "unsupported version {version} (this build reads {V1}, {V2} and {VERSION})"
-        ))),
+    if version != VERSION {
+        return Err(PersistError::Format(format!(
+            "unsupported version {version} (this build reads {VERSION})"
+        )));
     }
+    Ok(get_u64(r)?)
 }
 
 /// The shared decode behind [`Cfsf::load`] and
@@ -668,14 +550,11 @@ fn read_header<R: Read>(r: &mut R) -> Result<(u32, u64), PersistError> {
 /// derivable section (gis / clusters / planes) is rebuilt from the
 /// matrix or fails the load.
 fn load_impl<R: Read>(mut r: R, recover: bool) -> Result<(Cfsf, RecoveryReport), PersistError> {
-    let (version, generation) = read_header(&mut r)?;
-    if version == V1 {
-        return Ok((load_v1(&mut r)?, RecoveryReport::default()));
-    }
+    let generation = read_header(&mut r)?;
     let config = decode_section(
         &read_section(&mut r, TAG_CONFIG, "config")?,
         "config",
-        |r| decode_config(r, true),
+        decode_config,
     )?;
     let matrix = decode_section(
         &read_section(&mut r, TAG_MATRIX, "matrix")?,
@@ -696,7 +575,7 @@ fn load_impl<R: Read>(mut r: R, recover: bool) -> Result<(Cfsf, RecoveryReport),
         Err(_) => {
             cf_obs::counter!("persist.recovered.gis").inc();
             report.gis_rebuilt = true;
-            rebuild_gis(&config, &matrix)
+            Gis::build(&matrix, &config.gis_config())
         }
     };
     let clusters = match read_section(&mut r, TAG_CLUSTERS, "clusters")
@@ -707,28 +586,22 @@ fn load_impl<R: Read>(mut r: R, recover: bool) -> Result<(Cfsf, RecoveryReport),
         Err(_) => {
             cf_obs::counter!("persist.recovered.clusters").inc();
             report.clusters_rebuilt = true;
-            rebuild_clusters(&config, &matrix)
+            KMeans::fit(&matrix, &config.kmeans_config())
         }
     };
-    let planes = if version >= VERSION {
-        match read_section(&mut r, TAG_PLANES, "planes")
-            .and_then(|p| decode_planes(&p, &config, &matrix))
-        {
-            Ok(planes) => Some(planes),
-            Err(e) if !recover => return Err(e),
-            Err(_) => {
-                cf_obs::counter!("persist.recovered.planes").inc();
-                report.planes_rebuilt = true;
-                None
-            }
+    let planes = match read_section(&mut r, TAG_PLANES, "planes")
+        .and_then(|p| decode_planes(&p, &config, &matrix))
+    {
+        Ok(planes) => Some(planes),
+        Err(e) if !recover => return Err(e),
+        Err(_) => {
+            cf_obs::counter!("persist.recovered.planes").inc();
+            report.planes_rebuilt = true;
+            None
         }
-    } else {
-        // V2 streams never stored planes; recomputing them is the
-        // normal load path, not a recovery.
-        None
     };
     Ok((
-        Cfsf::assemble(config, matrix, gis, clusters, planes),
+        Cfsf::from_parts(config, matrix, gis, clusters, planes),
         report,
     ))
 }
@@ -765,16 +638,6 @@ fn decode_planes(
         ));
     }
     Ok(planes)
-}
-
-/// The legacy sequential-stream decode: the same payloads as V2, laid
-/// end to end with no framing or checksums.
-fn load_v1<R: Read>(r: &mut R) -> Result<Cfsf, PersistError> {
-    let config = decode_config(r, false)?;
-    let matrix = decode_matrix(r)?;
-    let gis = decode_gis(r, matrix.num_items())?;
-    let clusters = decode_clusters(r, matrix.num_users())?;
-    Ok(Cfsf::assemble(config, matrix, gis, clusters, None))
 }
 
 #[cfg(test)]
@@ -889,70 +752,11 @@ mod tests {
         assert_predictions_match(&original, &loaded);
     }
 
-    /// A V2 stream (no generation in the header, no planes section) must
-    /// still load, strictly and through recovery, with an empty report.
-    #[test]
-    fn legacy_v2_streams_still_load() {
-        let original = model();
-        let mut v2 = Vec::new();
-        original.save_v2(&mut v2).unwrap();
-        let loaded = Cfsf::load(v2.as_slice()).unwrap();
-        assert_predictions_match(&original, &loaded);
-
-        let (recovered, report) = Cfsf::load_with_recovery(v2.as_slice()).unwrap();
-        assert_eq!(report, RecoveryReport::default());
-        assert!(
-            !report.planes_rebuilt,
-            "a V2 stream never stored planes; recomputing them is not a recovery"
-        );
-        assert_predictions_match(&original, &recovered);
-    }
-
-    /// A V2 stream whose config payload predates the trailing precision
-    /// byte (written by an older build) must load with the U16 default.
-    #[test]
-    fn v2_config_without_precision_byte_defaults_to_u16() {
-        let original = model();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        put_u32(&mut buf, V2).unwrap();
-        write_section(
-            &mut buf,
-            TAG_CONFIG,
-            &encode_config(&original.config, false).unwrap(),
-        )
-        .unwrap();
-        write_section(
-            &mut buf,
-            TAG_MATRIX,
-            &encode_matrix(&original.matrix).unwrap(),
-        )
-        .unwrap();
-        write_section(
-            &mut buf,
-            TAG_GIS,
-            &encode_gis(&original.gis, &original.matrix).unwrap(),
-        )
-        .unwrap();
-        write_section(
-            &mut buf,
-            TAG_CLUSTERS,
-            &encode_clusters(&original.clusters).unwrap(),
-        )
-        .unwrap();
-        let loaded = Cfsf::load(buf.as_slice()).unwrap();
-        assert_eq!(
-            loaded.config().plane_precision,
-            cf_matrix::PlanePrecision::U16
-        );
-        assert_predictions_match(&original, &loaded);
-    }
-
     #[test]
     fn unknown_plane_precision_code_is_rejected() {
         let original = model();
-        let mut payload = encode_config(&original.config, false).unwrap();
-        payload.push(7); // no such precision
+        let mut payload = encode_config(&original.config).unwrap();
+        *payload.last_mut().unwrap() = 7; // no such precision
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         put_u32(&mut buf, VERSION).unwrap();
@@ -960,21 +764,6 @@ mod tests {
         write_section(&mut buf, TAG_CONFIG, &payload).unwrap();
         let e = Cfsf::load(buf.as_slice()).unwrap_err();
         assert!(e.to_string().contains("plane precision"), "{e}");
-    }
-
-    #[test]
-    fn legacy_v1_streams_still_load() {
-        let original = model();
-        let mut v1 = Vec::new();
-        original.save_v1(&mut v1).unwrap();
-        let loaded = Cfsf::load(v1.as_slice()).unwrap();
-        assert_predictions_match(&original, &loaded);
-
-        // And through the recovery entry point, with an empty report.
-        let (recovered, report) = Cfsf::load_with_recovery(v1.as_slice()).unwrap();
-        assert_eq!(report, RecoveryReport::default());
-        assert!(!report.any());
-        assert_predictions_match(&original, &recovered);
     }
 
     #[test]

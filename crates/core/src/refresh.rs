@@ -2,7 +2,9 @@
 //! rebuilds the model when the live traffic stops looking like the data
 //! it was fitted on, and publishes each rebuild through an RCU-style
 //! **generation cell** so no request ever blocks on (or observes a torn)
-//! rebuild.
+//! rebuild. It is also the one ingest path for new ratings — the paper's
+//! future-work items "how it can keep GIS up-to-date" and absorbing new
+//! ratings without refitting from scratch (§VI).
 //!
 //! Three pieces:
 //!
@@ -13,30 +15,41 @@
 //!   generically over [`cf_obs::sync::Shim`], so the `cf-analysis`
 //!   model checker explores the *same* swap/reader logic production
 //!   runs ([`GenCell`] is the `std` instantiation).
-//! - [`DriftMonitor`] — the tripwire. Watches windowed online MAE
-//!   regression ([`cf_obs::quality`]), rating-distribution shift on the
-//!   ingest stream ([`cf_obs::drift`]) and the degradation-ladder
-//!   fallback rate, with **hysteresis** (trip high, clear low, N
-//!   consecutive tripped windows, post-rebuild cooldown) so a flapping
-//!   signal can never cause a rebuild storm.
+//! - [`DriftMonitor`] — the tripwire. Owns the model's windowed online
+//!   MAE ([`cf_obs::quality::MaeWindow`]) and its ingest-rating histogram
+//!   ([`cf_obs::drift::DriftWindow`]), reads the process-wide
+//!   degradation-ladder fallback rate, and applies **hysteresis** (trip
+//!   high, clear low, N consecutive tripped windows, post-rebuild
+//!   cooldown) so a flapping signal can never cause a rebuild storm.
 //! - [`SelfHealingCfsf`] — the loop. Ingests live ratings (dirty-user /
 //!   stale-item tracking bounds the incremental rebuild to what
-//!   actually changed), and when the monitor trips, rebuilds on a
-//!   worker thread — smoothing, incremental GIS patch or full refit —
-//!   and publishes the result through the cell. A panicking or failing
-//!   rebuild is caught, counted (`refresh.failed`), and leaves the old
-//!   generation serving.
+//!   actually changed), and when the monitor trips — or on
+//!   [`SelfHealingCfsf::trigger`] / [`SelfHealingCfsf::refresh_now`] —
+//!   rebuilds and publishes the result through the cell. A panicking or
+//!   failing rebuild is caught, counted (`refresh.failed`), and leaves
+//!   the old generation serving with the pending ratings restored.
+//!
+//! A rebuild is either **partial** — the GIS rows of the touched items
+//! are rebuilt ([`cf_similarity::Gis::rebuild_items`]) and smoothing and
+//! iCluster re-run over the merged matrix with the K-means assignment
+//! kept — or **full**, a refit with K-means included. Partial rebuilds
+//! are exact for the GIS (up to neighbor-cap eviction, see
+//! `rebuild_items`) and for smoothing/iCluster; the one approximation is
+//! the frozen cluster assignment, which drifts as users accumulate
+//! ratings, so the rebuild escalates to a full refit once enough churn
+//! accumulates ([`DriftConfig::full_refit_fraction`]).
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cf_cluster::{ICluster, Smoother};
-use cf_matrix::{DenseRatings, ItemId, MatrixBuilder, RatingMatrix, UserId};
+use cf_matrix::{ItemId, MatrixBuilder, RatingMatrix, UserId};
+use cf_obs::drift::DriftWindow;
+use cf_obs::quality::MaeWindow;
 use cf_obs::sync::{RecoverMutex, Shim, ShimAtomicU64, ShimRwLock, StdShim};
 
-use crate::{Cfsf, CfsfError, RefreshKind};
+use crate::{Cfsf, CfsfError};
 
 // --------------------------------------------------------------------------
 // Generation cell
@@ -178,9 +191,9 @@ pub struct DriftConfig {
     /// Observations (MAE window + ingest window) required before a
     /// signal counts — a three-sample window proves nothing.
     pub min_observations: usize,
-    /// Escalate the rebuild from incremental to a full refit once the
-    /// merged churn exceeds this fraction of the matrix's ratings
-    /// (mirrors [`crate::IncrementalCfsf`]).
+    /// Escalate the rebuild from partial to a full refit once the churn
+    /// merged since the last full refit exceeds this fraction of the
+    /// matrix's ratings.
     pub full_refit_fraction: f64,
 }
 
@@ -217,6 +230,23 @@ impl DriftConfig {
             cooldown: Duration::from_millis(200),
             min_observations: 1,
             full_refit_fraction: 0.10,
+        }
+    }
+
+    /// A detector that never trips: rebuilds happen only on
+    /// [`SelfHealingCfsf::trigger`] or [`SelfHealingCfsf::refresh_now`],
+    /// so the caller fixes the generation sequence. The sensors still
+    /// record, and the churn escalation still applies.
+    pub fn manual() -> Self {
+        Self {
+            mae_trip_pm: i64::MAX,
+            mae_clear_pm: 0,
+            hist_trip_pm: i64::MAX,
+            hist_clear_pm: 0,
+            fallback_trip_pm: i64::MAX,
+            fallback_clear_pm: 0,
+            trip_windows: u32::MAX,
+            ..Self::default()
         }
     }
 
@@ -279,16 +309,24 @@ pub struct DriftSignals {
     pub mae_regression_pm: Option<i64>,
     /// Ingest-histogram distance from the training distribution.
     pub hist_distance_pm: Option<i64>,
-    /// Degradation-ladder fallback serve rate.
+    /// Degradation-ladder fallback serve rate. Process-wide: the ladder
+    /// counters are shared by every model in the process.
     pub fallback_pm: Option<i64>,
 }
 
 /// The hysteresis state machine between the sensors and the rebuild
-/// worker. Not a sensor itself: it reads the gauges [`cf_obs::quality`]
-/// and [`cf_obs::drift`] maintain and decides *whether now is the time*.
+/// worker. It owns one model's sensor windows — the windowed online MAE
+/// and the ingest-rating histogram — so two models in one process never
+/// pool their signals, and decides *whether now is the time*.
 pub struct DriftMonitor {
     cfg: DriftConfig,
     state: DriftState,
+    /// |prediction − rating| of ingested ratings the serving generation
+    /// could already predict.
+    mae: MaeWindow,
+    /// Ingested ratings against the serving generation's training
+    /// distribution.
+    ingest: DriftWindow,
     baseline_mae: Option<f64>,
     tripped_streak: u32,
     cooldown_until: Option<Instant>,
@@ -296,11 +334,14 @@ pub struct DriftMonitor {
 }
 
 impl DriftMonitor {
-    /// A fresh monitor in [`DriftState::Healthy`].
+    /// A fresh monitor in [`DriftState::Healthy`] with empty windows and
+    /// no baseline distribution (see [`Self::rebase`]).
     pub fn new(cfg: DriftConfig) -> Self {
         let monitor = Self {
             cfg,
             state: DriftState::Healthy,
+            mae: MaeWindow::new(),
+            ingest: DriftWindow::new(),
             baseline_mae: None,
             tripped_streak: 0,
             cooldown_until: None,
@@ -324,29 +365,54 @@ impl DriftMonitor {
         cf_obs::gauge!("drift.state").set(self.state as i64);
     }
 
-    /// Reads the raw signals off the global registry. The MAE baseline
-    /// is captured lazily: the first full-enough window after a publish
+    /// Starts measuring against a newly published generation: `ingest`
+    /// (an empty window over that generation's training distribution)
+    /// replaces the ingest window, and the MAE window and its baseline
+    /// restart.
+    pub fn rebase(&mut self, ingest: DriftWindow) {
+        self.ingest = ingest;
+        self.mae.clear();
+        self.baseline_mae = None;
+    }
+
+    /// Feeds one ingested rating to the sensors, with the serving
+    /// generation's prediction for its cell when it had one.
+    pub fn observe(&mut self, rating: f64, prediction: Option<f64>) {
+        if let Some(pred) = prediction {
+            self.mae.observe((pred - rating).abs());
+        }
+        self.ingest.record(rating);
+    }
+
+    /// The current raw signals, without advancing the state machine. A
+    /// window with fewer than `min_observations` samples reports `None`,
+    /// as does the MAE regression before its baseline is captured.
+    fn signals(&self) -> DriftSignals {
+        let enough = |len: usize| len >= self.cfg.min_observations;
+        DriftSignals {
+            mae_regression_pm: self
+                .baseline_mae
+                .filter(|_| enough(self.mae.len()))
+                .zip(self.mae.mae())
+                .map(|(base, mae)| (((mae / base) - 1.0) * 1000.0).round().max(0.0) as i64),
+            hist_distance_pm: self
+                .ingest
+                .hist_distance_pm()
+                .filter(|_| enough(self.ingest.len())),
+            fallback_pm: Some(cf_obs::quality::fallback_pm()),
+        }
+    }
+
+    /// Reads the signals for one evaluation. The MAE baseline is
+    /// captured lazily: the first full-enough window after a publish
     /// becomes the generation's "normal".
     fn read_signals(&mut self) -> DriftSignals {
-        let mut signals = DriftSignals::default();
-        if cf_obs::quality::window_len() >= self.cfg.min_observations {
-            if let Some(mae) = cf_obs::quality::window_mae() {
-                match self.baseline_mae {
-                    None => self.baseline_mae = Some(mae.max(f64::MIN_POSITIVE)),
-                    Some(base) => {
-                        let pm = (((mae / base) - 1.0) * 1000.0).round().max(0.0) as i64;
-                        signals.mae_regression_pm = Some(pm);
-                        cf_obs::gauge!("drift.mae_regression_pm").set(pm);
-                    }
-                }
-            }
+        let signals = self.signals();
+        if let Some(pm) = signals.mae_regression_pm {
+            cf_obs::gauge!("drift.mae_regression_pm").set(pm);
+        } else if self.baseline_mae.is_none() && self.mae.len() >= self.cfg.min_observations {
+            self.baseline_mae = self.mae.mae().map(|mae| mae.max(f64::MIN_POSITIVE));
         }
-        if cf_obs::drift::window_len() >= self.cfg.min_observations {
-            signals.hist_distance_pm = cf_obs::drift::hist_distance_pm();
-        }
-        cf_obs::quality::refresh_derived_gauges();
-        let fallback = cf_obs::global().gauge("online.degrade.fallback_pm").get();
-        signals.fallback_pm = Some(fallback);
         signals
     }
 
@@ -457,6 +523,16 @@ impl Drop for BusyGuard<'_> {
     }
 }
 
+/// Which rebuild path ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RefreshKind {
+    /// GIS rows of the touched items rebuilt, smoothing and iCluster
+    /// re-run, K-means assignment kept.
+    Partial,
+    /// Full offline refit (K-means included).
+    Full,
+}
+
 /// What one rebuild pass did (the background worker records the same
 /// fields into counters/gauges).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -465,6 +541,8 @@ pub struct RebuildReport {
     pub kind: RefreshKind,
     /// Ratings merged into the new generation.
     pub merged: usize,
+    /// Distinct items whose GIS rows were rebuilt (0 for a full refit).
+    pub items_rebuilt: usize,
     /// Distinct users whose ratings changed (drove the partial/full
     /// decision).
     pub dirty_users: usize,
@@ -486,7 +564,8 @@ impl SelfHealingCfsf {
     /// distribution as the drift baseline.
     pub fn new(model: Cfsf, cfg: DriftConfig) -> Result<Self, CfsfError> {
         cfg.validate()?;
-        install_baseline(&model);
+        let mut monitor = DriftMonitor::new(cfg.clone());
+        monitor.rebase(baseline_window(model.matrix()));
         // Register the refresh counters up front so a snapshot carries
         // explicit zeros — absent vs zero matters to the chaos gates.
         cf_obs::counter!("refresh.started").add(0);
@@ -504,7 +583,7 @@ impl SelfHealingCfsf {
                     dirty_users: BTreeSet::new(),
                     churn_since_full: 0,
                 }),
-                monitor: RecoverMutex::new(DriftMonitor::new(cfg.clone())),
+                monitor: RecoverMutex::new(monitor),
                 cfg,
                 busy: AtomicBool::new(false),
             }),
@@ -539,9 +618,11 @@ impl SelfHealingCfsf {
     }
 
     /// Ingests one live rating: validated against the current
-    /// generation, fed to the quality and drift sensors, queued for the
-    /// next rebuild — and the drift detector gets one evaluation tick,
-    /// which may launch a background rebuild.
+    /// generation, queued for the next rebuild, fed to this model's
+    /// quality and drift sensors — and the drift detector gets one
+    /// evaluation tick, which may launch a background rebuild. The
+    /// rating becomes visible to predictions with the next published
+    /// generation.
     pub fn add_rating(&self, user: UserId, item: ItemId, rating: f64) -> Result<(), CfsfError> {
         let model = self.shared.cell.load();
         let m = model.matrix();
@@ -574,11 +655,17 @@ impl SelfHealingCfsf {
             ingest.stale_items.insert(item);
             ingest.dirty_users.insert(user);
         }
-        if let Some(pred) = cf_matrix::Predictor::predict(&*model, user, item) {
-            cf_obs::quality::observe_prediction_error((pred - rating).abs());
+        // A freshly observed rating is ground truth for a cell the model
+        // could already predict: its error feeds the windowed online MAE.
+        let prediction = cf_matrix::Predictor::predict(&*model, user, item);
+        let launch = {
+            let mut monitor = self.shared.monitor.lock();
+            monitor.observe(rating, prediction);
+            monitor.evaluate()
+        };
+        if launch {
+            self.spawn_rebuild();
         }
-        cf_obs::drift::record_rating(rating);
-        self.tick();
         Ok(())
     }
 
@@ -598,9 +685,9 @@ impl SelfHealingCfsf {
         self.spawn_rebuild()
     }
 
-    /// Runs one rebuild synchronously on the caller's thread (tests, the
-    /// CLI demo). Publishes through the same cell as the background
-    /// path.
+    /// Runs one rebuild synchronously on the caller's thread and
+    /// publishes through the same cell as the background path. With
+    /// nothing pending it refits on the same data (a full rebuild).
     pub fn refresh_now(&self) -> Result<RebuildReport, CfsfError> {
         if self.shared.busy.swap(true, Ordering::AcqRel) {
             return Err(CfsfError::RefreshFailed {
@@ -666,11 +753,10 @@ impl Drop for SelfHealingCfsf {
     }
 }
 
-/// Seeds the drift sensors with the model's training distribution.
-fn install_baseline(model: &Cfsf) {
-    let m = model.matrix();
+/// An empty ingest window over `m`'s training distribution.
+fn baseline_window(m: &RatingMatrix) -> DriftWindow {
     let scale = m.scale();
-    cf_obs::drift::set_baseline(m.triplets().map(|(_, _, r)| r), scale.min, scale.max);
+    DriftWindow::with_baseline(m.triplets().map(|(_, _, r)| r), scale.min, scale.max)
 }
 
 /// The rebuild pass: snapshot the pending ratings, build a complete new
@@ -701,7 +787,9 @@ fn run_rebuild(shared: &Shared) -> Result<RebuildReport, CfsfError> {
 
     match built {
         Ok(Ok((model, kind))) => {
-            let generation = shared.cell.publish(Arc::new(model));
+            let model = Arc::new(model);
+            let baseline = baseline_window(model.matrix());
+            let generation = shared.cell.publish(Arc::clone(&model));
             {
                 let mut ingest = shared.ingest.lock();
                 ingest.churn_since_full = match kind {
@@ -711,19 +799,24 @@ fn run_rebuild(shared: &Shared) -> Result<RebuildReport, CfsfError> {
                 // Ratings ingested *during* the rebuild were validated
                 // against the old generation; drop any the new matrix now
                 // covers.
-                let published = shared.cell.load();
-                let m = published.matrix();
+                let m = model.matrix();
                 ingest.pending.retain(|&(u, i, _)| m.get(u, i).is_none());
             }
-            install_baseline(&shared.cell.load());
-            cf_obs::quality::clear_window();
             cf_obs::counter!("refresh.completed").inc();
             cf_obs::gauge!("refresh.generation").set(generation as i64);
             cf_obs::trace::note("refresh.generation_published");
-            shared.monitor.lock().note_rebuild_finished(true);
+            {
+                let mut monitor = shared.monitor.lock();
+                monitor.rebase(baseline);
+                monitor.note_rebuild_finished(true);
+            }
             Ok(RebuildReport {
                 kind,
                 merged: pending.len(),
+                items_rebuilt: match kind {
+                    RefreshKind::Full => 0,
+                    RefreshKind::Partial => stale_items.len(),
+                },
                 dirty_users: dirty_users.len(),
                 generation,
             })
@@ -768,10 +861,10 @@ fn run_rebuild(shared: &Shared) -> Result<RebuildReport, CfsfError> {
     }
 }
 
-/// Builds the next generation completely off to the side. Incremental
-/// path mirrors [`crate::IncrementalCfsf`]'s staged partial refresh —
-/// GIS rows are rebuilt only for the stale items (O(changed users), via
-/// the dirty tracking) — escalating to a full refit on heavy churn.
+/// Builds the next generation completely off to the side. The partial
+/// path rebuilds GIS rows only for the stale items (O(changed users), via
+/// the dirty tracking) and keeps the K-means assignment; heavy churn
+/// escalates to a full refit.
 fn build_generation(
     base: &Cfsf,
     cfg: &DriftConfig,
@@ -796,40 +889,15 @@ fn build_generation(
         (Cfsf::fit(&merged, base.config.clone())?, RefreshKind::Full)
     } else {
         let items: Vec<ItemId> = stale_items.iter().copied().collect();
-        let mut gis_config = base.config.gis.clone();
-        if let Some(cap) = gis_config.max_neighbors {
-            gis_config.max_neighbors = Some(cap.max(base.config.m));
-        }
-        gis_config.threads = gis_config.threads.or(base.config.threads);
         let mut gis = base.gis.clone();
-        gis.rebuild_items(&merged, &items, &gis_config);
-
-        let smoothed = Smoother::smooth(&merged, &base.clusters, base.config.threads);
-        let icluster = ICluster::build(&merged, &smoothed, base.config.threads);
-        let dense = if base.config.use_smoothing {
-            smoothed.dense.clone()
-        } else {
-            DenseRatings::from_sparse(&merged)
-        };
-        let planes = cf_matrix::WeightPlanes::from_dense_with(
-            &dense,
-            base.config.w,
-            base.config.plane_precision,
-        );
-        let strips = crate::strips::ItemStrips::build(&gis, base.config.m);
-        let model = Cfsf {
-            config: base.config.clone(),
-            matrix: merged,
+        gis.rebuild_items(&merged, &items, &base.config.gis_config());
+        let model = Cfsf::from_parts(
+            base.config.clone(),
+            merged,
             gis,
-            clusters: base.clusters.clone(),
-            smoothed,
-            icluster,
-            dense,
-            planes,
-            strips,
-            neighbor_cache: crate::cache::ShardedCache::new(crate::cache::DEFAULT_CAPACITY),
-        };
-        model.publish_footprint();
+            base.clusters.clone(),
+            None,
+        );
         (model, RefreshKind::Partial)
     };
 
@@ -867,15 +935,6 @@ mod tests {
     use crate::CfsfConfig;
     use cf_data::SyntheticConfig;
     use cf_matrix::Predictor;
-
-    /// The drift/quality windows are process-global; tests that assert
-    /// on them serialize here so parallel test threads cannot interleave
-    /// observations.
-    fn windows_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     fn fitted() -> (cf_data::Dataset, Cfsf) {
         let d = SyntheticConfig::small().generate();
@@ -941,30 +1000,36 @@ mod tests {
         assert!(cfg.validate().is_err());
     }
 
+    /// A monitor measuring against a mid-scale baseline, with only the
+    /// histogram signal live: the fallback rate is process-wide and other
+    /// tests in this binary serve degraded predictions, so its band sits
+    /// out of reach (rates top out at 1000 pm).
+    fn histogram_monitor(cfg: DriftConfig) -> DriftMonitor {
+        let mut m = DriftMonitor::new(DriftConfig {
+            fallback_trip_pm: 1001,
+            fallback_clear_pm: 1001,
+            ..cfg
+        });
+        m.rebase(DriftWindow::with_baseline(
+            std::iter::repeat_n(3.0, 64),
+            1.0,
+            5.0,
+        ));
+        m
+    }
+
     #[test]
     fn monitor_needs_consecutive_tripped_windows_and_cooldown() {
-        let _serial = windows_lock();
-        cf_obs::quality::clear_window();
-        cf_obs::drift::clear();
-        // Distribution fully shifted: baseline mid-scale, stream at max.
-        cf_obs::drift::set_baseline(std::iter::repeat_n(3.0, 64), 1.0, 5.0);
-        for _ in 0..8 {
-            cf_obs::drift::record_rating(5.0);
-        }
-        let cfg = DriftConfig {
+        let mut m = histogram_monitor(DriftConfig {
             trip_windows: 3,
             min_observations: 4,
             cooldown: Duration::from_secs(3600),
-            // Only the histogram signal participates in this test; other
-            // tests in this binary feed the shared MAE window, so park
-            // the MAE and fallback bands where they cannot trip.
-            mae_trip_pm: i64::MAX,
-            mae_clear_pm: i64::MAX,
-            fallback_trip_pm: 1001,
-            fallback_clear_pm: 1001,
             ..DriftConfig::default()
-        };
-        let mut m = DriftMonitor::new(cfg);
+        });
+        // Distribution fully shifted: baseline mid-scale, stream at max.
+        for _ in 0..8 {
+            m.observe(5.0, None);
+        }
         assert!(!m.evaluate(), "window 1 of 3");
         assert!(!m.evaluate(), "window 2 of 3");
         assert_eq!(m.state(), DriftState::Drifting);
@@ -974,32 +1039,21 @@ mod tests {
         m.note_rebuild_finished(true);
         assert_eq!(m.state(), DriftState::Cooldown);
         assert!(!m.evaluate(), "cooldown suppresses the still-high signal");
-        cf_obs::drift::clear();
-        cf_obs::quality::clear_window();
     }
 
     #[test]
     fn monitor_hysteresis_holds_streak_inside_the_band() {
-        let _serial = windows_lock();
-        cf_obs::quality::clear_window();
-        cf_obs::drift::clear();
-        cf_obs::drift::set_baseline(std::iter::repeat_n(3.0, 64), 1.0, 5.0);
-        let cfg = DriftConfig {
+        let mut m = histogram_monitor(DriftConfig {
             hist_trip_pm: 900,
             hist_clear_pm: 100,
             trip_windows: 2,
             min_observations: 4,
             cooldown: Duration::from_secs(3600),
-            mae_trip_pm: i64::MAX,
-            mae_clear_pm: i64::MAX,
-            fallback_trip_pm: 1001,
-            fallback_clear_pm: 1001,
             ..DriftConfig::default()
-        };
-        let mut m = DriftMonitor::new(cfg);
+        });
         // Fully shifted: above trip. One window of streak.
         for _ in 0..8 {
-            cf_obs::drift::record_rating(5.0);
+            m.observe(5.0, None);
         }
         assert!(!m.evaluate());
         assert_eq!(m.state(), DriftState::Drifting);
@@ -1007,17 +1061,95 @@ mod tests {
         // half the window back at baseline ≈ 500 pm. The streak must
         // hold — neither growing past the trip count nor resetting.
         for _ in 0..8 {
-            cf_obs::drift::record_rating(3.0);
+            m.observe(3.0, None);
         }
         assert!(!m.evaluate(), "inside the band: no trip");
         assert_eq!(m.state(), DriftState::Drifting, "…and no reset either");
         // Back above trip: the held streak completes and trips.
         for _ in 0..64 {
-            cf_obs::drift::record_rating(5.0);
+            m.observe(5.0, None);
         }
         assert!(m.evaluate(), "streak held through the band completes");
-        cf_obs::drift::clear();
-        cf_obs::quality::clear_window();
+    }
+
+    #[test]
+    fn mae_regression_is_measured_against_the_first_full_window() {
+        let mut m = DriftMonitor::new(DriftConfig {
+            min_observations: 4,
+            ..DriftConfig::manual()
+        });
+        for _ in 0..4 {
+            m.observe(4.0, Some(3.5));
+        }
+        assert_eq!(m.signals().mae_regression_pm, None, "no baseline yet");
+        m.evaluate(); // captures the 0.5 baseline
+        for _ in 0..4 {
+            m.observe(4.0, Some(2.5));
+        }
+        // Window MAE (4 × 0.5 + 4 × 1.5) / 8 = 1.0: double the baseline.
+        assert_eq!(m.signals().mae_regression_pm, Some(1000));
+        m.rebase(DriftWindow::new());
+        assert_eq!(m.signals().mae_regression_pm, None, "rebase restarts");
+    }
+
+    #[test]
+    fn two_models_in_one_process_keep_their_own_drift_windows() {
+        // Only the histogram signal is live.
+        let cfg = DriftConfig {
+            hist_trip_pm: 300,
+            hist_clear_pm: 150,
+            trip_windows: 2,
+            min_observations: 32,
+            cooldown: Duration::from_secs(3600),
+            ..DriftConfig::manual()
+        };
+        let (d, model) = fitted();
+        let a = SelfHealingCfsf::new(model, cfg.clone()).unwrap();
+        let b = SelfHealingCfsf::new(fitted().1, cfg).unwrap();
+        let scale = d.matrix.scale();
+
+        // B hears ratings drawn evenly from its own training data; A hears
+        // everyone rating the top of the scale. The reference window
+        // replays exactly B's stream against B's baseline.
+        let cells: Vec<(UserId, ItemId)> = d
+            .matrix
+            .users()
+            .flat_map(|u| d.matrix.items().map(move |i| (u, i)))
+            .filter(|&(u, i)| d.matrix.get(u, i).is_none())
+            .take(96)
+            .collect();
+        let stride = d.matrix.num_ratings() / cells.len();
+        let like_baseline: Vec<f64> = d
+            .matrix
+            .triplets()
+            .map(|(_, _, r)| r)
+            .step_by(stride)
+            .collect();
+        let mut reference = baseline_window(&d.matrix);
+        for (&(user, item), &rating) in cells.iter().zip(&like_baseline) {
+            a.add_rating(user, item, scale.max).unwrap();
+            b.add_rating(user, item, rating).unwrap();
+            reference.record(rating);
+            assert_eq!(
+                b.drift_state(),
+                DriftState::Healthy,
+                "A's stream leaked into B"
+            );
+        }
+        a.wait_idle();
+
+        assert_eq!(a.generation(), 1, "the skewed stream must trip A once");
+        assert_eq!(b.generation(), 0, "B must not rebuild");
+        let expected = reference.hist_distance_pm();
+        assert!(
+            expected.is_some_and(|pm| pm < 150),
+            "B's stream is baseline-like: {expected:?}"
+        );
+        assert_eq!(
+            b.shared.monitor.lock().signals().hist_distance_pm,
+            expected,
+            "B's window must hold exactly B's ratings after A's rebuild"
+        );
     }
 
     #[test]
@@ -1056,9 +1188,12 @@ mod tests {
         .unwrap();
         let before = healing.generation();
         let (u, i) = unrated_cell(&d.matrix, 3);
+        let cached = healing.model().top_k_users(u);
         healing.add_rating(u, i, 5.0).unwrap();
         let report = healing.refresh_now().unwrap();
+        assert_eq!(report.kind, RefreshKind::Partial);
         assert_eq!(report.merged, 1);
+        assert_eq!(report.items_rebuilt, 1);
         assert_eq!(report.dirty_users, 1);
         assert_eq!(report.generation, before + 1);
         assert_eq!(healing.generation(), before + 1);
@@ -1066,6 +1201,10 @@ mod tests {
         let m = healing.model();
         assert_eq!(m.matrix().get(u, i), Some(5.0));
         assert!(m.predict(u, ItemId::new(0)).is_some());
+        assert!(
+            !Arc::ptr_eq(&cached, &m.top_k_users(u)),
+            "the new generation must not serve the old neighbor selection"
+        );
     }
 
     #[test]
@@ -1116,15 +1255,12 @@ mod tests {
 
     #[test]
     fn drift_storm_at_floor_thresholds_is_rate_limited() {
-        let _serial = windows_lock();
         let (d, model) = fitted();
-        cf_obs::quality::clear_window();
         let cfg = DriftConfig {
             cooldown: Duration::from_secs(3600),
             ..DriftConfig::sensitive()
         };
         let healing = SelfHealingCfsf::new(model, cfg).unwrap();
-        let started_before = cf_obs::counter!("refresh.started").get();
         // Hammer the detector: every add ticks it with thresholds at 0.
         let mut from = 0;
         for _ in 0..6 {
@@ -1133,12 +1269,104 @@ mod tests {
             from = u.raw() + 1;
         }
         healing.wait_idle();
-        let launched = cf_obs::counter!("refresh.started").get() - started_before;
+        // This model's own trip count: other tests in this binary start
+        // rebuilds too, so the global `refresh.started` counter would
+        // count theirs.
+        let launched = healing.shared.monitor.lock().trips();
+        assert_eq!(healing.generation(), launched);
         assert!(
             launched <= 1,
             "cooldown + single-flight must cap the storm, got {launched} rebuilds"
         );
-        cf_obs::quality::clear_window();
-        cf_obs::drift::clear();
+    }
+
+    #[test]
+    fn empty_refresh_refits_in_full() {
+        let (_, model) = fitted();
+        let healing = SelfHealingCfsf::new(model, DriftConfig::manual()).unwrap();
+        let report = healing.refresh_now().unwrap();
+        assert_eq!(report.kind, RefreshKind::Full);
+        assert_eq!(report.merged, 0);
+        assert_eq!(healing.generation(), 1);
+    }
+
+    #[test]
+    fn heavy_churn_escalates_to_full_refit() {
+        let (d, model) = fitted();
+        let healing = SelfHealingCfsf::new(
+            model,
+            DriftConfig {
+                full_refit_fraction: 0.0005, // escalate almost immediately
+                ..DriftConfig::manual()
+            },
+        )
+        .unwrap();
+        let mut from = 0;
+        for _ in 0..5 {
+            let (u, i) = unrated_cell(&d.matrix, from);
+            healing.add_rating(u, i, 3.0).unwrap();
+            from = u.raw() + 1;
+        }
+        let report = healing.refresh_now().unwrap();
+        assert_eq!(report.kind, RefreshKind::Full);
+        assert_eq!(report.merged, 5);
+        assert_eq!(report.items_rebuilt, 0);
+    }
+
+    #[test]
+    fn partial_refresh_matches_full_refit_predictions_closely() {
+        // The only partial-rebuild approximation is the frozen K-means
+        // assignment; after a handful of new ratings the two paths should
+        // give nearly identical predictions over a probe set.
+        let (d, model) = fitted();
+        let healing = SelfHealingCfsf::new(model, DriftConfig::manual()).unwrap();
+        let mut from = 0;
+        for _ in 0..4 {
+            let (u, i) = unrated_cell(&d.matrix, from);
+            healing.add_rating(u, i, 4.0).unwrap();
+            from = u.raw() + 1;
+        }
+        assert_eq!(healing.refresh_now().unwrap().kind, RefreshKind::Partial);
+        let partial = healing.model();
+
+        // Full refit on the same merged matrix. Note K-means re-seeds on
+        // the merged data, so even two *full* fits across the update can
+        // disagree pointwise; the right check is aggregate agreement.
+        let full = Cfsf::fit(partial.matrix(), CfsfConfig::small()).unwrap();
+        let mut abs_diff = 0.0;
+        let mut total = 0usize;
+        for u in (0..d.matrix.num_users()).step_by(7) {
+            for i in (0..d.matrix.num_items()).step_by(11) {
+                let a = partial.predict(UserId::from(u), ItemId::from(i));
+                let b = full.predict(UserId::from(u), ItemId::from(i));
+                match (a, b) {
+                    (Some(x), Some(y)) => {
+                        abs_diff += (x - y).abs();
+                        total += 1;
+                    }
+                    (None, None) => {}
+                    _ => panic!("availability must agree at ({u},{i})"),
+                }
+            }
+        }
+        let mean_diff = abs_diff / total as f64;
+        assert!(
+            mean_diff < 0.15,
+            "partial refresh drifted {mean_diff:.3} on average over {total} probes"
+        );
+    }
+
+    #[test]
+    fn refreshed_model_sees_new_evidence_in_predictions() {
+        let (d, model) = fitted();
+        let healing = SelfHealingCfsf::new(model, DriftConfig::manual()).unwrap();
+        let (u, i) = unrated_cell(&d.matrix, 5);
+        healing.add_rating(u, i, 5.0).unwrap();
+        healing.refresh_now().unwrap();
+        // The cell is now rated; recommendations must exclude it.
+        let m = healing.model();
+        assert_eq!(m.matrix().get(u, i), Some(5.0));
+        let recs = m.recommend_top_n(u, d.matrix.num_items());
+        assert!(recs.iter().all(|&(item, _)| item != i));
     }
 }

@@ -4,13 +4,22 @@
 //! once; this suite races two full batches through the model and checks
 //! the exact bookkeeping identities. It lives in its own integration
 //! test file (its own process) so the global registry deltas are not
-//! perturbed by unrelated tests.
+//! perturbed by unrelated tests, and its two tests serialize on a mutex
+//! so they do not perturb each other's deltas either.
 
 use cf_matrix::{ItemId, UserId};
 use cfsf_core::{Cfsf, CfsfConfig};
 
 const USERS: usize = 80;
 const ITEMS: usize = 120;
+
+/// Both tests measure deltas of the same global counters.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn model() -> Cfsf {
     let d = cf_data::SyntheticConfig::small().generate();
@@ -41,6 +50,7 @@ fn rung_sum() -> u64 {
 
 #[test]
 fn degrade_and_cache_counters_balance_under_concurrent_load() {
+    let _serial = serial();
     let m = std::sync::Arc::new(model());
     let requests: Vec<(UserId, ItemId)> = (0..600)
         .map(|k| {
@@ -111,6 +121,7 @@ fn degrade_and_cache_counters_balance_under_concurrent_load() {
 
 #[test]
 fn estimator_counters_never_exceed_predictions() {
+    let _serial = serial();
     let m = model();
     let before = counter("online.predictions");
     for u in 0..USERS {

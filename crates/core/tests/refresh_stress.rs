@@ -11,8 +11,8 @@
 //!    sustained mixed load never surfaces an error or a block to any
 //!    reader.
 //!
-//! The drift/quality windows are process-global, so the tests serialize
-//! on a local mutex.
+//! Each test runs four reader threads against its own rebuild, so the
+//! tests serialize on a local mutex rather than compete for the cores.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -32,21 +32,6 @@ fn serial() -> MutexGuard<'static, ()> {
 fn fitted() -> Cfsf {
     let d = cf_data::SyntheticConfig::small().generate();
     Cfsf::fit(&d.matrix, CfsfConfig::small()).unwrap()
-}
-
-/// A drift config that never trips on its own, so the test controls
-/// exactly when the rebuild happens (via `trigger`).
-fn parked() -> DriftConfig {
-    DriftConfig {
-        mae_trip_pm: i64::MAX,
-        mae_clear_pm: 0,
-        hist_trip_pm: i64::MAX,
-        hist_clear_pm: 0,
-        fallback_trip_pm: i64::MAX,
-        fallback_clear_pm: 0,
-        trip_windows: u32::MAX,
-        ..DriftConfig::default()
-    }
 }
 
 /// Unrated cells of the served matrix, usable as fresh live ratings.
@@ -87,7 +72,7 @@ struct Sample {
 #[test]
 fn requests_straddling_a_swap_are_bit_identical_per_generation() {
     let _guard = serial();
-    let healing = SelfHealingCfsf::new(fitted(), parked()).unwrap();
+    let healing = SelfHealingCfsf::new(fitted(), DriftConfig::manual()).unwrap();
     let cell = healing.cell();
     let gen0 = cell.load();
 

@@ -1,26 +1,24 @@
-//! Rating-distribution drift sensors for the self-healing refresh loop.
+//! Rating-distribution drift sensor for the self-healing refresh loop.
 //!
 //! The refresh policy in `cfsf-core::refresh` needs to know whether the
 //! *incoming* rating stream still looks like the distribution the model
-//! was fitted on. This module keeps a bounded window of the most recent
-//! ingested ratings bucketed into a fixed histogram, a baseline histogram
-//! captured from the training matrix at (re)fit time, and derives three
-//! gauges every caller of [`record_rating`] keeps fresh:
+//! was fitted on. A [`DriftWindow`] keeps a bounded window of the most
+//! recent ingested ratings bucketed into a fixed histogram, next to a
+//! baseline histogram captured from the training matrix, and publishes
+//! three gauges as it records:
 //!
 //! - `drift.hist_distance_pm` — total-variation distance (per mille)
 //!   between the ingest-window histogram and the baseline;
 //! - `drift.ingest.mean_milli` / `drift.ingest.stddev_milli` — first two
-//!   moments of the window, milli-rating-units;
+//!   moments of the window, milli-rating-units.
 //!
-//! The policy half (hysteresis, trip/clear thresholds, the rebuild
-//! trigger) lives with the model in `cfsf-core::refresh`; this module is
-//! deliberately just the sensor so `/stats.json` shows the raw signals
-//! even when no refresh loop is attached.
+//! Each model owns its window (the drift monitor in `cfsf-core` holds
+//! one), so two models in one process never pool or reset each other's
+//! samples. The gauges are process-wide and show the window that
+//! recorded last. The window records whether or not telemetry is
+//! enabled: it is model state, not a metric.
 
 use std::collections::VecDeque;
-use std::sync::OnceLock;
-
-use crate::sync::RecoverMutex;
 
 /// Histogram buckets the rating scale is cut into. Eight is enough to
 /// tell "everyone suddenly rates 1" from "everyone rates 5" on any scale
@@ -30,8 +28,11 @@ pub const BUCKETS: usize = 8;
 /// Ratings the ingest window holds before the oldest rolls out.
 pub const WINDOW: usize = 512;
 
-struct DriftWindow {
-    /// Recent ratings' bucket indices, oldest first.
+/// A bounded ingest-rating window compared against a baseline
+/// distribution.
+#[derive(Debug, Clone)]
+pub struct DriftWindow {
+    /// Recent ratings with their bucket indices, oldest first.
     recent: VecDeque<(u8, f64)>,
     /// Per-bucket counts over `recent` (kept incrementally).
     counts: [u64; BUCKETS],
@@ -41,16 +42,15 @@ struct DriftWindow {
     scale: (f64, f64),
 }
 
-fn state() -> &'static RecoverMutex<DriftWindow> {
-    static S: OnceLock<RecoverMutex<DriftWindow>> = OnceLock::new();
-    S.get_or_init(|| {
-        RecoverMutex::new(DriftWindow {
+impl Default for DriftWindow {
+    fn default() -> Self {
+        Self {
             recent: VecDeque::with_capacity(WINDOW),
             counts: [0; BUCKETS],
             baseline: None,
             scale: (1.0, 5.0),
-        })
-    })
+        }
+    }
 }
 
 fn bucket_of(rating: f64, min: f64, max: f64) -> usize {
@@ -59,113 +59,111 @@ fn bucket_of(rating: f64, min: f64, max: f64) -> usize {
     ((t * BUCKETS as f64) as usize).min(BUCKETS - 1)
 }
 
-/// Installs the baseline distribution the ingest stream is compared
-/// against, from an iterator over the *training* ratings, and remembers
-/// the scale used for bucketing. Called by the refresh loop whenever a
-/// new generation is published (the freshly merged matrix becomes the
-/// new normal). Resets the ingest window: drift is measured against the
-/// generation currently serving.
-pub fn set_baseline(ratings: impl IntoIterator<Item = f64>, scale_min: f64, scale_max: f64) {
-    let mut counts = [0u64; BUCKETS];
-    let mut total = 0u64;
-    for r in ratings {
-        if r.is_finite() {
-            counts[bucket_of(r, scale_min, scale_max)] += 1;
-            total += 1;
-        }
+impl DriftWindow {
+    /// An empty window with no baseline: it never reports a distance.
+    pub fn new() -> Self {
+        Self::default()
     }
-    let mut s = state().lock();
-    s.scale = (scale_min, scale_max);
-    s.baseline = (total > 0).then(|| {
-        let mut p = [0.0; BUCKETS];
-        for (b, &c) in p.iter_mut().zip(&counts) {
-            *b = c as f64 / total as f64;
-        }
-        p
-    });
-    s.recent.clear();
-    s.counts = [0; BUCKETS];
-    drop(s);
-    publish_gauges();
-}
 
-/// Feeds one freshly ingested rating into the drift window and refreshes
-/// the `drift.*` gauges. Non-finite ratings are ignored (the ingest path
-/// validates before calling, so this is belt and braces).
-pub fn record_rating(rating: f64) {
-    if !crate::enabled() || !rating.is_finite() {
-        return;
-    }
-    {
-        let mut s = state().lock();
-        let b = bucket_of(rating, s.scale.0, s.scale.1) as u8;
-        if s.recent.len() >= WINDOW {
-            if let Some((old, _)) = s.recent.pop_front() {
-                s.counts[old as usize] = s.counts[old as usize].saturating_sub(1);
+    /// An empty window measuring against the distribution of `ratings`
+    /// (the *training* ratings) bucketed over `[scale_min, scale_max]`.
+    /// The refresh loop builds one whenever it publishes a generation:
+    /// drift is measured against the generation currently serving.
+    pub fn with_baseline(
+        ratings: impl IntoIterator<Item = f64>,
+        scale_min: f64,
+        scale_max: f64,
+    ) -> Self {
+        let mut counts = [0u64; BUCKETS];
+        let mut total = 0u64;
+        for r in ratings {
+            if r.is_finite() {
+                counts[bucket_of(r, scale_min, scale_max)] += 1;
+                total += 1;
             }
         }
-        s.recent.push_back((b, rating));
-        s.counts[b as usize] += 1;
+        Self {
+            baseline: (total > 0).then(|| counts.map(|c| c as f64 / total as f64)),
+            scale: (scale_min, scale_max),
+            ..Self::default()
+        }
     }
-    publish_gauges();
-}
 
-/// Total-variation distance (½ · L1), per mille, between the ingest
-/// window and the baseline. `None` until both a baseline and at least
-/// one ingested rating exist — the policy layer treats "no signal yet"
-/// differently from "distance zero".
-pub fn hist_distance_pm() -> Option<i64> {
-    let s = state().lock();
-    let baseline = s.baseline?;
-    let total: u64 = s.counts.iter().sum();
-    if total == 0 {
-        return None;
+    /// Feeds one freshly ingested rating into the window and refreshes
+    /// the `drift.*` gauges. Non-finite ratings are ignored (the ingest
+    /// path validates before calling, so this is belt and braces).
+    pub fn record(&mut self, rating: f64) {
+        if !rating.is_finite() {
+            return;
+        }
+        let b = bucket_of(rating, self.scale.0, self.scale.1);
+        if self.recent.len() >= WINDOW {
+            if let Some((old, _)) = self.recent.pop_front() {
+                self.counts[old as usize] = self.counts[old as usize].saturating_sub(1);
+            }
+        }
+        self.recent.push_back((b as u8, rating));
+        self.counts[b] += 1;
+        self.publish_gauges();
     }
-    let mut l1 = 0.0;
-    for (c, b) in s.counts.iter().zip(&baseline) {
-        l1 += (*c as f64 / total as f64 - b).abs();
+
+    /// Total-variation distance (½ · L1), per mille, between the window
+    /// and the baseline. `None` until both a baseline and at least one
+    /// ingested rating exist — the policy layer treats "no signal yet"
+    /// differently from "distance zero".
+    pub fn hist_distance_pm(&self) -> Option<i64> {
+        let baseline = self.baseline?;
+        let total: u64 = self.counts.iter().sum();
+        if total == 0 {
+            return None;
+        }
+        let l1: f64 = self
+            .counts
+            .iter()
+            .zip(&baseline)
+            .map(|(c, b)| (*c as f64 / total as f64 - b).abs())
+            .sum();
+        Some(((l1 / 2.0) * 1000.0).round() as i64)
     }
-    Some(((l1 / 2.0) * 1000.0).round() as i64)
-}
 
-/// Mean and standard deviation of the ratings currently in the window;
-/// `None` while the window is empty.
-pub fn window_moments() -> Option<(f64, f64)> {
-    let s = state().lock();
-    if s.recent.is_empty() {
-        return None;
+    /// Mean and standard deviation of the ratings currently in the
+    /// window; `None` while the window is empty.
+    pub fn moments(&self) -> Option<(f64, f64)> {
+        if self.recent.is_empty() {
+            return None;
+        }
+        let n = self.recent.len() as f64;
+        let mean = self.recent.iter().map(|&(_, r)| r).sum::<f64>() / n;
+        let var = self
+            .recent
+            .iter()
+            .map(|&(_, r)| (r - mean).powi(2))
+            .sum::<f64>()
+            / n;
+        Some((mean, var.sqrt()))
     }
-    let n = s.recent.len() as f64;
-    let mean = s.recent.iter().map(|&(_, r)| r).sum::<f64>() / n;
-    let var = s
-        .recent
-        .iter()
-        .map(|&(_, r)| (r - mean).powi(2))
-        .sum::<f64>()
-        / n;
-    Some((mean, var.sqrt()))
-}
 
-/// Ratings currently in the ingest window (tests / diagnostics).
-pub fn window_len() -> usize {
-    state().lock().recent.len()
-}
-
-/// Drops the window and the baseline (tests).
-pub fn clear() {
-    let mut s = state().lock();
-    s.recent.clear();
-    s.counts = [0; BUCKETS];
-    s.baseline = None;
-}
-
-fn publish_gauges() {
-    if let Some(d) = hist_distance_pm() {
-        crate::gauge!("drift.hist_distance_pm").set(d);
+    /// Ratings currently in the window.
+    pub fn len(&self) -> usize {
+        self.recent.len()
     }
-    if let Some((mean, stddev)) = window_moments() {
-        crate::gauge!("drift.ingest.mean_milli").set((mean * 1000.0).round() as i64);
-        crate::gauge!("drift.ingest.stddev_milli").set((stddev * 1000.0).round() as i64);
+
+    /// Whether the window holds no ratings.
+    pub fn is_empty(&self) -> bool {
+        self.recent.is_empty()
+    }
+
+    fn publish_gauges(&self) {
+        if !crate::enabled() {
+            return;
+        }
+        if let Some(d) = self.hist_distance_pm() {
+            crate::gauge!("drift.hist_distance_pm").set(d);
+        }
+        if let Some((mean, stddev)) = self.moments() {
+            crate::gauge!("drift.ingest.mean_milli").set((mean * 1000.0).round() as i64);
+            crate::gauge!("drift.ingest.stddev_milli").set((stddev * 1000.0).round() as i64);
+        }
     }
 }
 
@@ -174,68 +172,54 @@ fn publish_gauges() {
 mod tests {
     use super::*;
 
-    /// The drift window is process-global; serialize the tests touching
-    /// it so parallel test threads cannot interleave.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn identical_distributions_measure_zero_distance() {
-        let _serial = serial();
-        clear();
-        set_baseline((0..100).map(|i| 1.0 + f64::from(i % 5)), 1.0, 5.0);
+        let mut w = DriftWindow::with_baseline((0..100).map(|i| 1.0 + f64::from(i % 5)), 1.0, 5.0);
         for i in 0..100 {
-            record_rating(1.0 + f64::from(i % 5));
+            w.record(1.0 + f64::from(i % 5));
         }
-        assert_eq!(hist_distance_pm(), Some(0));
-        clear();
+        assert_eq!(w.hist_distance_pm(), Some(0));
     }
 
     #[test]
     fn shifted_distribution_is_visible_and_window_stays_bounded() {
-        let _serial = serial();
-        clear();
         // Baseline: everyone rates mid-scale. Stream: everyone rates max.
-        set_baseline(std::iter::repeat_n(3.0, 64), 1.0, 5.0);
+        let mut w = DriftWindow::with_baseline(std::iter::repeat_n(3.0, 64), 1.0, 5.0);
         for _ in 0..(WINDOW * 2) {
-            record_rating(5.0);
+            w.record(5.0);
         }
-        assert_eq!(window_len(), WINDOW);
+        assert_eq!(w.len(), WINDOW);
         // Disjoint buckets: total-variation distance is the full 1000 pm.
-        assert_eq!(hist_distance_pm(), Some(1000));
-        let (mean, stddev) = window_moments().unwrap();
+        assert_eq!(w.hist_distance_pm(), Some(1000));
+        let (mean, stddev) = w.moments().unwrap();
         assert!((mean - 5.0).abs() < 1e-12);
         assert!(stddev < 1e-12);
-        clear();
     }
 
     #[test]
     fn no_signal_before_baseline_or_data() {
-        let _serial = serial();
-        clear();
-        assert_eq!(hist_distance_pm(), None);
-        record_rating(4.0); // no baseline installed → still no distance
-        assert_eq!(hist_distance_pm(), None);
-        clear();
-        set_baseline([3.0, 4.0], 1.0, 5.0);
-        assert_eq!(hist_distance_pm(), None, "baseline alone is no signal");
-        clear();
+        let mut w = DriftWindow::new();
+        assert_eq!(w.hist_distance_pm(), None);
+        w.record(4.0); // no baseline installed → still no distance
+        assert_eq!(w.hist_distance_pm(), None);
+        let w = DriftWindow::with_baseline([3.0, 4.0], 1.0, 5.0);
+        assert!(w.is_empty());
+        assert_eq!(w.hist_distance_pm(), None, "baseline alone is no signal");
     }
 
     #[test]
-    fn new_baseline_resets_the_window() {
-        let _serial = serial();
-        clear();
-        set_baseline([3.0; 8], 1.0, 5.0);
+    fn windows_are_independent() {
+        let mut shifted = DriftWindow::with_baseline([3.0; 8], 1.0, 5.0);
+        let mut steady = DriftWindow::with_baseline([3.0; 8], 1.0, 5.0);
         for _ in 0..10 {
-            record_rating(5.0);
+            shifted.record(5.0);
+            steady.record(3.0);
         }
-        assert_eq!(window_len(), 10);
-        set_baseline([5.0; 8], 1.0, 5.0);
-        assert_eq!(window_len(), 0, "a published generation resets drift");
-        clear();
+        assert_eq!(shifted.hist_distance_pm(), Some(1000));
+        assert_eq!(steady.hist_distance_pm(), Some(0));
+        // Rebasing one (a published generation) leaves the other alone.
+        shifted = DriftWindow::with_baseline([5.0; 8], 1.0, 5.0);
+        assert!(shifted.is_empty());
+        assert_eq!(steady.len(), 10);
     }
 }

@@ -4,75 +4,87 @@
 //! drift-visible gauges from them so the `/metrics` endpoint shows, on
 //! one scrape, whether prediction quality or serving health is moving:
 //!
-//! - [`observe_prediction_error`] — the incremental ingestion path calls
-//!   this when a ground-truth rating arrives for a (user, item) the model
-//!   could already predict. A bounded window of recent absolute errors
-//!   maintains a **windowed online MAE** gauge
-//!   (`online.quality.window_mae_milli`, milli-rating-units so the
-//!   integer gauge keeps 3 decimals).
+//! - [`MaeWindow`] — a bounded window of recent absolute errors, fed when
+//!   a ground-truth rating arrives for a (user, item) the model could
+//!   already predict. Each self-healing model owns one (inside its drift
+//!   monitor); every observation refreshes the **windowed online MAE**
+//!   gauge (`online.quality.window_mae_milli`, milli-rating-units so the
+//!   integer gauge keeps 3 decimals), which shows the window that
+//!   observed last.
 //! - [`refresh_derived_gauges`] — folds the global counters into rate
 //!   gauges: neighbor-cache hit ratio, degradation fallback rate and
 //!   per-rung serve rates, all per-mille. Called by the telemetry server
 //!   before each scrape and by the CLI before `--stats` output, so the
 //!   gauges are always coherent with the counters next to them.
+//! - [`fallback_pm`] — the fallback rate read live off the ladder
+//!   counters, for the drift monitor's per-tick signal. It is
+//!   process-wide: the degradation-ladder counters are shared by every
+//!   model in the process.
 
 use std::collections::VecDeque;
-use std::sync::OnceLock;
-
-use crate::sync::RecoverMutex;
 
 /// Number of recent observations the MAE window holds.
 pub const WINDOW: usize = 256;
 
-fn window() -> &'static RecoverMutex<VecDeque<f64>> {
-    static W: OnceLock<RecoverMutex<VecDeque<f64>>> = OnceLock::new();
-    W.get_or_init(|| RecoverMutex::new(VecDeque::with_capacity(WINDOW)))
+/// A bounded window of recent |prediction − observed rating| errors.
+#[derive(Debug, Clone, Default)]
+pub struct MaeWindow {
+    errors: VecDeque<f64>,
 }
 
-/// Feeds one |prediction − observed rating| into the rolling window and
-/// refreshes the `online.quality.window_mae_milli` gauge. Non-finite
-/// errors are counted (`online.quality.rejected`) but excluded from the
-/// window.
-pub fn observe_prediction_error(abs_err: f64) {
-    if !crate::enabled() {
-        return;
+impl MaeWindow {
+    /// An empty window.
+    pub fn new() -> Self {
+        Self::default()
     }
-    if !abs_err.is_finite() {
-        crate::counter!("online.quality.rejected").inc();
-        return;
-    }
-    crate::counter!("online.quality.observed").inc();
-    let mae = {
-        let mut w = window().lock();
-        if w.len() >= WINDOW {
-            w.pop_front();
+
+    /// Feeds one |prediction − observed rating| into the window and
+    /// refreshes the `online.quality.window_mae_milli` gauge. Non-finite
+    /// errors are counted (`online.quality.rejected`) but excluded from
+    /// the window. The window records whether or not telemetry is
+    /// enabled: it is model state, not a metric.
+    pub fn observe(&mut self, abs_err: f64) {
+        if !abs_err.is_finite() {
+            crate::counter!("online.quality.rejected").inc();
+            return;
         }
-        w.push_back(abs_err.abs());
-        w.iter().sum::<f64>() / w.len() as f64
-    };
-    crate::gauge!("online.quality.window_mae_milli").set((mae * 1000.0).round() as i64);
-}
-
-/// Observations currently in the MAE window (tests / diagnostics).
-pub fn window_len() -> usize {
-    window().lock().len()
-}
-
-/// Mean absolute error over the current window, or `None` while the
-/// window is empty. The drift detector in `cfsf-core::refresh` compares
-/// this against the baseline MAE captured when the serving generation
-/// was published.
-pub fn window_mae() -> Option<f64> {
-    let w = window().lock();
-    if w.is_empty() {
-        return None;
+        crate::counter!("online.quality.observed").inc();
+        if self.errors.len() >= WINDOW {
+            self.errors.pop_front();
+        }
+        self.errors.push_back(abs_err.abs());
+        if crate::enabled() {
+            if let Some(mae) = self.mae() {
+                crate::gauge!("online.quality.window_mae_milli").set((mae * 1000.0).round() as i64);
+            }
+        }
     }
-    Some(w.iter().sum::<f64>() / w.len() as f64)
-}
 
-/// Empties the MAE window (tests).
-pub fn clear_window() {
-    window().lock().clear();
+    /// Observations currently in the window.
+    pub fn len(&self) -> usize {
+        self.errors.len()
+    }
+
+    /// Whether the window holds no observations.
+    pub fn is_empty(&self) -> bool {
+        self.errors.is_empty()
+    }
+
+    /// Mean absolute error over the window, or `None` while it is empty.
+    /// The drift detector in `cfsf-core::refresh` compares this against
+    /// the baseline MAE captured after the serving generation was
+    /// published.
+    pub fn mae(&self) -> Option<f64> {
+        if self.errors.is_empty() {
+            return None;
+        }
+        Some(self.errors.iter().sum::<f64>() / self.errors.len() as f64)
+    }
+
+    /// Empties the window (a new generation starts a new window).
+    pub fn clear(&mut self) {
+        self.errors.clear();
+    }
 }
 
 fn per_mille(part: u64, whole: u64) -> i64 {
@@ -96,6 +108,34 @@ pub const RUNGS: [&str; 6] = [
 /// The rungs counted as the ladder's fallback region.
 pub const FALLBACK_RUNGS: [&str; 3] = ["cluster_smoothed", "user_mean", "global_mean"];
 
+/// Per mille of ladder serves that came from the fallback region, given
+/// one count per rung in [`RUNGS`] order — the one formula behind the
+/// `online.degrade.fallback_pm` gauge and [`fallback_pm`].
+fn fallback_per_mille(counts: [u64; RUNGS.len()]) -> i64 {
+    let total = counts.iter().sum();
+    let fallback = RUNGS
+        .iter()
+        .zip(counts)
+        .filter(|(rung, _)| FALLBACK_RUNGS.contains(rung))
+        .map(|(_, n)| n)
+        .sum();
+    per_mille(fallback, total)
+}
+
+/// The process-wide degradation fallback rate (per mille), read live off
+/// the six ladder counters — cheap enough for every drift-monitor tick,
+/// where a registry snapshot is not.
+pub fn fallback_pm() -> i64 {
+    fallback_per_mille([
+        crate::counter!("online.degrade.full").get(),
+        crate::counter!("online.degrade.partial_fusion").get(),
+        crate::counter!("online.degrade.single_estimator").get(),
+        crate::counter!("online.degrade.cluster_smoothed").get(),
+        crate::counter!("online.degrade.user_mean").get(),
+        crate::counter!("online.degrade.global_mean").get(),
+    ])
+}
+
 /// The derived gauge values implied by `snap`'s counters, as
 /// `(name, per-mille value)` pairs — pure, so one counter pass can feed
 /// both the registry and the scrape being rendered.
@@ -110,22 +150,16 @@ fn derived_from(snap: &crate::Snapshot) -> Vec<(String, i64)> {
         per_mille(hits, hits + misses),
     ));
 
-    let total: u64 = RUNGS
-        .iter()
-        .map(|r| c(&format!("online.degrade.{r}")))
-        .sum();
-    let fallback: u64 = FALLBACK_RUNGS
-        .iter()
-        .map(|r| c(&format!("online.degrade.{r}")))
-        .sum();
+    let counts = RUNGS.map(|r| c(&format!("online.degrade.{r}")));
+    let total: u64 = counts.iter().sum();
     out.push((
         "online.degrade.fallback_pm".to_string(),
-        per_mille(fallback, total),
+        fallback_per_mille(counts),
     ));
-    for rung in RUNGS {
+    for (rung, n) in RUNGS.iter().zip(counts) {
         out.push((
             format!("online.degrade.rate_pm.{rung}"),
-            per_mille(c(&format!("online.degrade.{rung}")), total),
+            per_mille(n, total),
         ));
     }
     out
@@ -174,29 +208,44 @@ mod tests {
 
     #[test]
     fn window_mae_tracks_recent_errors_and_stays_bounded() {
-        clear_window();
-        observe_prediction_error(1.0);
-        observe_prediction_error(0.5);
-        let g = crate::global().gauge("online.quality.window_mae_milli");
-        assert_eq!(g.get(), 750, "MAE of [1.0, 0.5] is 0.75 → 750 milli");
+        let mut w = MaeWindow::new();
+        w.observe(1.0);
+        w.observe(0.5);
+        assert_eq!(w.mae(), Some(0.75), "MAE of [1.0, 0.5]");
 
         for _ in 0..(WINDOW * 2) {
-            observe_prediction_error(0.2);
+            w.observe(0.2);
         }
-        assert_eq!(window_len(), WINDOW, "window must stay bounded");
-        assert_eq!(g.get(), 200, "old errors must have rolled out");
-        clear_window();
+        assert_eq!(w.len(), WINDOW, "window must stay bounded");
+        let mae = w.mae().unwrap();
+        assert!((mae - 0.2).abs() < 1e-12, "old errors must have rolled out");
+        w.clear();
+        assert!(w.is_empty());
+        assert_eq!(w.mae(), None);
     }
 
     #[test]
     fn non_finite_errors_are_rejected() {
-        clear_window();
-        let before = window_len();
-        observe_prediction_error(f64::NAN);
-        observe_prediction_error(f64::INFINITY);
-        assert_eq!(window_len(), before);
+        let mut w = MaeWindow::new();
+        w.observe(f64::NAN);
+        w.observe(f64::INFINITY);
+        assert!(w.is_empty());
         assert!(crate::counter!("online.quality.rejected").get() >= 2);
-        clear_window();
+    }
+
+    #[test]
+    fn fallback_rate_counts_only_the_fallback_rungs() {
+        // full, partial_fusion, single_estimator, cluster_smoothed,
+        // user_mean, global_mean
+        assert_eq!(fallback_per_mille([5, 2, 1, 1, 0, 1]), 200);
+        assert_eq!(fallback_per_mille([0; 6]), 0, "no serves, no rate");
+        let mut snap = crate::Snapshot::default();
+        for (rung, n) in RUNGS.iter().zip([5u64, 2, 1, 1, 0, 1]) {
+            snap.counters.insert(format!("online.degrade.{rung}"), n);
+        }
+        let derived: std::collections::BTreeMap<_, _> = derived_from(&snap).into_iter().collect();
+        assert_eq!(derived["online.degrade.fallback_pm"], 200);
+        assert_eq!(derived["online.degrade.rate_pm.full"], 500);
     }
 
     #[test]

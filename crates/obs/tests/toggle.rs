@@ -68,11 +68,10 @@ fn disabled_gauge_and_span_timer_record_nothing() {
 }
 
 #[test]
-fn disabled_tracing_and_quality_feed_record_nothing() {
+fn disabled_tracing_records_nothing() {
     let _g = locked();
     set_enabled(false);
     cf_obs::trace::clear();
-    cf_obs::quality::clear_window();
 
     cf_obs::trace::set_head_sample_every(1);
     let req = cf_obs::trace::begin_request(1, 2);
@@ -92,13 +91,6 @@ fn disabled_tracing_and_quality_feed_record_nothing() {
         "disabled registry must suppress trace capture entirely"
     );
     assert!(cf_obs::trace::exemplars().is_empty());
-
-    cf_obs::quality::observe_prediction_error(1.0);
-    assert_eq!(
-        cf_obs::quality::window_len(),
-        0,
-        "disabled registry must suppress the quality window"
-    );
 
     set_enabled(true);
     cf_obs::trace::set_head_sample_every(64);

@@ -1,6 +1,6 @@
 //! The CFSF wire protocol: length-framed, versioned, checksummed binary
-//! frames over TCP — persist-V2 style, but per message instead of per
-//! file section.
+//! frames over TCP — the persistence format's style, but per message
+//! instead of per file section.
 //!
 //! Frame layout (everything little-endian):
 //!

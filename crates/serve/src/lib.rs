@@ -3,7 +3,7 @@
 //! This crate turns the single-process recommender into a small fleet:
 //!
 //! - [`frame`] — the length-framed, versioned, CRC-checked binary wire
-//!   protocol (the serving twin of the persistence format's V2 header
+//!   protocol (the serving twin of the persistence format's header
 //!   discipline: magic, version, length-before-allocate, checksum).
 //! - [`server`] — [`server::ShardServer`]: one process, one loaded
 //!   model, answering predict / recommend / health / profile frames on

@@ -65,6 +65,12 @@ echo "==> chaos: serving tier (shard connection drops)"
 cargo clippy -p cf-serve --features faultinject --all-targets --offline -- -D warnings
 cargo test -p cf-serve --features faultinject -q --offline
 
+# The repository benchmark (perfbench/) is a Cargo workspace of its own,
+# so none of the passes above build it. Build and test it here: a
+# library API change that breaks the benchmark must fail the gate.
+echo "==> perfbench: build + tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Non-gating: smoke the throughput benchmark (quick windows) so a broken
 # bench binary is caught here, without making noisy perf numbers a gate.
 # --compare prints a BENCH REGRESSION WARNING for any measurement >10%
