@@ -13,10 +13,9 @@
 //! workflow commands (`::error file=…,line=…::…`) so CI surfaces lint
 //! findings and model failures inline on the diff.
 //!
-//! Exit status: `0` when clean; `1` on any model failure, suppression /
-//! allowlist error, or (with `--deny-warnings`) any unsuppressed lint
-//! diagnostic. The seeded-race fixture models (`expect_race`) invert:
-//! they gate on the race detector *firing*.
+//! Exit status: `0` when clean; `1` on any model failure or (with
+//! `--deny-warnings`) any lint diagnostic. The seeded-race fixture models
+//! (`expect_race`) invert: they gate on the race detector *firing*.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -113,41 +112,22 @@ fn render_json(lint: Option<&LintReport>, runs: &[ModelRun], ok: bool) -> String
     match lint {
         None => w.null(),
         Some(report) => {
-            let diag_array = |w: &mut Writer, key: &str, diags: &[lint::Diagnostic]| {
-                w.key(key);
-                w.begin_array();
-                for d in diags {
-                    w.elem();
-                    w.begin_object();
-                    w.key("rule");
-                    w.string(d.rule);
-                    w.key("path");
-                    w.string(&d.path);
-                    w.key("line");
-                    w.number_u64(d.line as u64);
-                    w.key("message");
-                    w.string(&d.message);
-                    w.end_object();
-                }
-                w.end_array();
-            };
             w.begin_object();
             w.key("files_scanned");
             w.number_u64(report.files_scanned as u64);
-            diag_array(&mut w, "errors", &report.errors);
-            diag_array(&mut w, "diagnostics", &report.diagnostics);
-            diag_array(&mut w, "suppressed", &report.suppressed);
-            w.key("unused_suppressions");
+            w.key("diagnostics");
             w.begin_array();
-            for s in &report.unused_suppressions {
+            for d in &report.diagnostics {
                 w.elem();
                 w.begin_object();
                 w.key("rule");
-                w.string(&s.rule);
+                w.string(d.rule);
                 w.key("path");
-                w.string(&s.path);
+                w.string(&d.path);
                 w.key("line");
-                w.number_u64(s.line as u64);
+                w.number_u64(d.line as u64);
+                w.key("message");
+                w.string(&d.message);
                 w.end_object();
             }
             w.end_array();
@@ -261,37 +241,15 @@ fn main() -> ExitCode {
         let report = lint::run_lint(&root);
         if human {
             println!(
-                "lint: scanned {} files — {} diagnostic(s), {} suppressed, {} error(s)",
+                "lint: scanned {} files — {} diagnostic(s)",
                 report.files_scanned,
-                report.diagnostics.len(),
-                report.suppressed.len(),
-                report.errors.len()
+                report.diagnostics.len()
             );
-            for d in &report.errors {
-                println!("error: {d}");
-            }
             for d in &report.diagnostics {
                 println!("warning: {d}");
             }
-            for d in &report.suppressed {
-                println!("note: suppressed {d}");
-            }
-            for s in &report.unused_suppressions {
-                println!(
-                    "note: unused suppression of `{}` at {}:{}",
-                    s.rule, s.path, s.line
-                );
-            }
         }
         if args.annotate {
-            for d in &report.errors {
-                annotate(
-                    "error",
-                    &d.path,
-                    d.line,
-                    &format!("[{}] {}", d.rule, d.message),
-                );
-            }
             for d in &report.diagnostics {
                 let level = if args.deny_warnings {
                     "error"
@@ -305,17 +263,6 @@ fn main() -> ExitCode {
                     &format!("[{}] {}", d.rule, d.message),
                 );
             }
-            for s in &report.unused_suppressions {
-                annotate(
-                    "warning",
-                    &s.path,
-                    s.line,
-                    &format!("unused suppression of `{}`", s.rule),
-                );
-            }
-        }
-        if !report.errors.is_empty() {
-            failed = true;
         }
         if args.deny_warnings && !report.diagnostics.is_empty() {
             failed = true;

@@ -4,15 +4,13 @@
 //! gated in `scripts/check.sh` / CI:
 //!
 //! 1. **Lint engine** ([`lint`]) — a lightweight token/line-level
-//!    scanner (no external parser; vendor nothing) enforcing
-//!    repo-specific rules clippy cannot express: panic-free production
-//!    code with an auditable allowlist, no clock reads on hot paths
-//!    outside the `cf_obs` enabled-gate, no raw float equality outside
-//!    the epsilon helpers, no bare `std::sync` locks where the
-//!    poison-recovering wrappers are mandated, obs counter/test pairing,
-//!    and no `AssertUnwindSafe` over closures capturing `&mut`. Inline
-//!    `allow(<rule>)` suppression comments (see [`lint`]) are honored,
-//!    counted, and reported; unknown rule ids in one are hard errors.
+//!    scanner (no external parser; vendor nothing) for the three repo
+//!    rules that no rustc or clippy lint, `clippy.toml` entry or module
+//!    privacy can express: no raw float equality outside the epsilon
+//!    helpers (`clippy::float_cmp` does not flag `x == 0.0`), obs
+//!    counter/test pairing, and no `AssertUnwindSafe` over closures
+//!    capturing `&mut`. Everything else the serving path promises is
+//!    enforced by the compiler (see DESIGN.md §9.1).
 //!
 //! 2. **loom-lite model checker** ([`sched`], [`llsync`], [`models`]) —
 //!    a deterministic scheduler exploring thread interleavings

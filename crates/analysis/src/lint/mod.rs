@@ -1,32 +1,18 @@
 //! The repo-aware lint engine: a lightweight, comment/string-aware
-//! line scanner with project-specific rules.
+//! line scanner for the few project rules no compiler lint expresses.
 //!
 //! No external parser: each `.rs` file is split into lines whose code,
 //! comment, and string-literal parts are separated by a small state
 //! machine ([`scan_file`]), with `#[cfg(test)]` regions and `tests/` /
 //! `benches/` paths tracked so rules can scope themselves to production
 //! code. Rules ([`rules`]) emit `file:line` diagnostics with stable rule
-//! ids.
-//!
-//! Two escape hatches, both auditable:
-//!
-//! - **inline suppressions** — an `allow(<rule-id>)` comment (tagged
-//!   with the tool name, see [`render_suppression`]) on the
-//!   diagnostic's line or the line above suppresses it; every use is
-//!   counted and reported, and an unknown rule id is a hard error;
-//! - **the allowlist file** — `analysis-allow.txt` at the repo root
-//!   lists `rule-id path-prefix` pairs for whole files/subtrees that are
-//!   exempt (e.g. the model checker's own scheduler, which is allowed
-//!   to panic). This replaces the old ad-hoc per-crate clippy argument
-//!   lists with one reviewed file.
+//! ids. There is no suppression syntax and no allowlist: a finding is
+//! fixed, or the rule is wrong.
 
 pub mod rules;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-
-/// Name of the allowlist file at the repo root.
-pub const ALLOWLIST_FILE: &str = "analysis-allow.txt";
 
 /// A single finding, attached to a file and 1-based line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,37 +64,13 @@ pub struct FileScan {
     pub strings: Vec<(usize, String)>,
 }
 
-/// A parsed inline suppression.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Suppression {
-    /// The suppressed rule id (validated against [`rules::RULES`]).
-    pub rule: String,
-    /// Repo-relative path.
-    pub path: String,
-    /// 1-based line the suppression comment is on.
-    pub line: usize,
-}
-
 /// Outcome of a lint run.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LintReport {
-    /// Unsuppressed findings (these gate).
+    /// Findings (these gate under `--deny-warnings`).
     pub diagnostics: Vec<Diagnostic>,
-    /// Findings silenced by an inline suppression (reported, not fatal).
-    pub suppressed: Vec<Diagnostic>,
-    /// Suppression comments that silenced nothing (reported, not fatal).
-    pub unused_suppressions: Vec<Suppression>,
-    /// Hard errors: malformed/unknown-rule suppressions (always gate).
-    pub errors: Vec<Diagnostic>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-}
-
-impl LintReport {
-    /// True when nothing gates: no unsuppressed findings and no errors.
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty() && self.errors.is_empty()
-    }
 }
 
 // --------------------------------------------------------------------------
@@ -369,147 +331,6 @@ fn mark_test_regions(lines: &mut [ScannedLine], file_is_test: bool) {
 }
 
 // --------------------------------------------------------------------------
-// Suppressions
-// --------------------------------------------------------------------------
-
-/// Parses every inline `allow(...)` suppression in a scanned file.
-/// Malformed or unknown-rule suppressions become hard-error diagnostics.
-pub fn parse_suppressions(scan: &FileScan) -> (Vec<Suppression>, Vec<Diagnostic>) {
-    let mut found = Vec::new();
-    let mut errors = Vec::new();
-    for (i, l) in scan.lines.iter().enumerate() {
-        let Some(pos) = l.comment.find("cf-analysis:") else {
-            continue;
-        };
-        let rest = l.comment[pos + "cf-analysis:".len()..].trim_start();
-        let line = i + 1;
-        let Some(args) = rest
-            .strip_prefix("allow(")
-            .and_then(|r| r.split_once(')'))
-            .map(|(inside, _)| inside)
-        else {
-            errors.push(Diagnostic {
-                rule: "bad-suppression",
-                path: scan.path.clone(),
-                line,
-                message: format!(
-                    "malformed suppression '{}' (expected `cf-analysis: allow(<rule-id>)`)",
-                    rest.trim_end()
-                ),
-            });
-            continue;
-        };
-        for id in args.split(',') {
-            let id = id.trim();
-            if id.is_empty() {
-                errors.push(Diagnostic {
-                    rule: "bad-suppression",
-                    path: scan.path.clone(),
-                    line,
-                    message: "empty rule id in suppression".to_string(),
-                });
-                continue;
-            }
-            if !rules::RULES.iter().any(|r| r.id == id) {
-                errors.push(Diagnostic {
-                    rule: "bad-suppression",
-                    path: scan.path.clone(),
-                    line,
-                    message: format!(
-                        "unknown rule id '{id}' in suppression (known: {})",
-                        rules::RULES
-                            .iter()
-                            .map(|r| r.id)
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ),
-                });
-                continue;
-            }
-            found.push(Suppression {
-                rule: id.to_string(),
-                path: scan.path.clone(),
-                line,
-            });
-        }
-    }
-    (found, errors)
-}
-
-/// Renders a suppression back to its canonical comment form
-/// (round-trip partner of [`parse_suppressions`]).
-pub fn render_suppression(rules: &[&str]) -> String {
-    format!("// cf-analysis: allow({})", rules.join(", "))
-}
-
-// --------------------------------------------------------------------------
-// Allowlist
-// --------------------------------------------------------------------------
-
-/// One `rule-id path-prefix` exemption, with its source line for
-/// staleness reporting.
-#[derive(Debug, Clone)]
-pub struct AllowEntry {
-    /// The exempted rule id.
-    pub rule: String,
-    /// Repo-relative path prefix the exemption covers.
-    pub prefix: String,
-    /// 1-based line in [`ALLOWLIST_FILE`].
-    pub line: usize,
-}
-
-/// The parsed allowlist: audited `rule-id path-prefix` exemptions.
-#[derive(Debug, Default, Clone)]
-pub struct Allowlist {
-    entries: Vec<AllowEntry>,
-}
-
-impl Allowlist {
-    /// Parses allowlist text (`rule-id path-prefix` per line, `#`
-    /// comments). Unknown rule ids are errors so renamed rules surface.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut entries = Vec::new();
-        for (n, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let (Some(rule), Some(prefix)) = (parts.next(), parts.next()) else {
-                return Err(format!(
-                    "{ALLOWLIST_FILE}:{}: expected `rule-id path-prefix`, got '{line}'",
-                    n + 1
-                ));
-            };
-            if !rules::RULES.iter().any(|r| r.id == rule) {
-                return Err(format!(
-                    "{ALLOWLIST_FILE}:{}: unknown rule id '{rule}'",
-                    n + 1
-                ));
-            }
-            entries.push(AllowEntry {
-                rule: rule.to_string(),
-                prefix: prefix.to_string(),
-                line: n + 1,
-            });
-        }
-        Ok(Self { entries })
-    }
-
-    /// True when `path` is exempt from `rule`.
-    pub fn allows(&self, rule: &str, path: &str) -> bool {
-        self.entries
-            .iter()
-            .any(|e| e.rule == rule && path.starts_with(e.prefix.as_str()))
-    }
-
-    /// The parsed entries, in file order.
-    pub fn entries(&self) -> &[AllowEntry] {
-        &self.entries
-    }
-}
-
-// --------------------------------------------------------------------------
 // Driver
 // --------------------------------------------------------------------------
 
@@ -536,24 +357,6 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// Runs the full lint over the repo rooted at `root`.
 pub fn run_lint(root: &Path) -> LintReport {
-    let allowlist = match std::fs::read_to_string(root.join(ALLOWLIST_FILE)) {
-        Ok(text) => match Allowlist::parse(&text) {
-            Ok(a) => a,
-            Err(e) => {
-                return LintReport {
-                    errors: vec![Diagnostic {
-                        rule: "bad-allowlist",
-                        path: ALLOWLIST_FILE.to_string(),
-                        line: 0,
-                        message: e,
-                    }],
-                    ..LintReport::default()
-                }
-            }
-        },
-        Err(_) => Allowlist::default(),
-    };
-
     let mut files = Vec::new();
     collect_rs_files(root, &mut files);
 
@@ -569,80 +372,24 @@ pub fn run_lint(root: &Path) -> LintReport {
             .replace('\\', "/");
         scans.push(scan_file(&rel, &text));
     }
-    lint_scans(&scans, &allowlist)
+    lint_scans(&scans)
 }
 
 /// Runs every rule over pre-scanned files (unit-test entry point).
-pub fn lint_scans(scans: &[FileScan], allowlist: &Allowlist) -> LintReport {
-    let mut report = LintReport {
-        files_scanned: scans.len(),
-        ..LintReport::default()
-    };
-
-    let mut suppressions: Vec<Suppression> = Vec::new();
+pub fn lint_scans(scans: &[FileScan]) -> LintReport {
+    let mut diagnostics = Vec::new();
     for scan in scans {
-        let (s, errs) = parse_suppressions(scan);
-        suppressions.extend(s);
-        report.errors.extend(errs);
+        rules::check_file(scan, &mut diagnostics);
     }
-
-    let mut raw: Vec<Diagnostic> = Vec::new();
-    for scan in scans {
-        rules::check_file(scan, &mut raw);
-    }
-    rules::check_counter_pairing(scans, &mut raw);
-
-    let mut used = vec![false; suppressions.len()];
-    let mut allow_used = vec![false; allowlist.entries().len()];
-    for d in raw {
-        let mut allowed = false;
-        for (i, e) in allowlist.entries().iter().enumerate() {
-            if e.rule == d.rule && d.path.starts_with(e.prefix.as_str()) {
-                allow_used[i] = true;
-                allowed = true;
-            }
-        }
-        if allowed {
-            continue;
-        }
-        let hit = suppressions.iter().enumerate().find(|(_, s)| {
-            s.rule == d.rule && s.path == d.path && (s.line == d.line || s.line + 1 == d.line)
-        });
-        match hit {
-            Some((i, _)) => {
-                used[i] = true;
-                report.suppressed.push(d);
-            }
-            None => report.diagnostics.push(d),
-        }
-    }
-    for (i, s) in suppressions.into_iter().enumerate() {
-        if !used[i] {
-            report.unused_suppressions.push(s);
-        }
-    }
-    // A stale allowlist entry is a hard error, not a note: an exemption
-    // that exempts nothing is either debris from deleted code or a
-    // typo'd prefix silently about to exempt the wrong thing.
-    for (i, e) in allowlist.entries().iter().enumerate() {
-        if !allow_used[i] {
-            report.errors.push(Diagnostic {
-                rule: "stale-allowlist",
-                path: ALLOWLIST_FILE.to_string(),
-                line: e.line,
-                message: format!(
-                    "allowlist entry `{} {}` matched no finding; remove it (or fix \
-                     the prefix)",
-                    e.rule, e.prefix
-                ),
-            });
-        }
-    }
-    report.diagnostics.sort_by(|a, b| {
+    rules::check_counter_pairing(scans, &mut diagnostics);
+    diagnostics.sort_by(|a, b| {
         a.path
             .cmp(&b.path)
             .then(a.line.cmp(&b.line))
             .then(a.rule.cmp(b.rule))
     });
-    report
+    LintReport {
+        diagnostics,
+        files_scanned: scans.len(),
+    }
 }

@@ -3,42 +3,26 @@
 //! Every rule works on the scanner's decomposed lines ([`super::FileScan`]):
 //! comments and string contents are already blanked out of `code`, and
 //! `in_test` marks `#[cfg(test)]` regions plus `tests/`/`benches/` files,
-//! so the matching below is plain token scanning with word-boundary
-//! checks — deliberately simple, reviewable, and dependency-free.
+//! so the matching below is plain token scanning — deliberately simple,
+//! reviewable, and dependency-free.
 
 use super::{Diagnostic, FileScan};
 
-/// Static description of one rule, for `--list-rules` and suppression
-/// validation.
+/// Static description of one rule, for `--list-rules`.
 pub struct RuleInfo {
-    /// Stable id used in diagnostics, suppressions, and the allowlist.
+    /// Stable id used in diagnostics.
     pub id: &'static str,
     /// One-line summary.
     pub summary: &'static str,
 }
 
-/// The full catalog.
+/// The full catalog. Rules a compiler lint, a `clippy.toml` entry or
+/// module privacy can enforce live there instead (see DESIGN.md §9.1).
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "no-unwrap",
-        summary: "no unwrap/expect/panic!/unreachable!/todo! in production code \
-                  (tests, benches, and allowlisted files exempt)",
-    },
-    RuleInfo {
-        id: "hot-path-clock",
-        summary: "no Instant::now/SystemTime::now in hot-path modules (online.rs, \
-                  cache.rs, trace.rs) unless an enabled() gate appears within the \
-                  previous 25 lines",
-    },
     RuleInfo {
         id: "float-eq",
         summary: "no ==/!= against a float literal in production code; use the \
                   cf_matrix approx helpers",
-    },
-    RuleInfo {
-        id: "bare-sync-prim",
-        summary: "no new `static mut` or bare std::sync::Mutex in crates/core or \
-                  crates/obs; use the poison-recovering wrappers in cf_obs::sync",
     },
     RuleInfo {
         id: "counter-pairing",
@@ -50,152 +34,15 @@ pub const RULES: &[RuleInfo] = &[
         summary: "no AssertUnwindSafe over a closure capturing &mut (over-broad \
                   unwind capture can observe broken invariants)",
     },
-    RuleInfo {
-        id: "quant-plane-raw-read",
-        summary: "no raw quantized-cell reads (.bits() or the weight LUT) outside \
-                  crates/matrix/src/planes.rs; go through PlaneDequant::pair",
-    },
-    RuleInfo {
-        id: "model-access-outside-generation",
-        summary: "no naming the concrete model type (Cfsf) in crates/serve/src \
-                  outside live.rs; serve paths load snapshots through ModelHandle \
-                  so generation swaps stay zero-pause",
-    },
-    RuleInfo {
-        id: "trace-context-dropped",
-        summary: "no literal Request::Predict/PredictBatch/RecommendTopN struct \
-                  construction outside frame.rs; the frame helpers capture the \
-                  ambient trace context, a literal silently drops it",
-    },
-    RuleInfo {
-        id: "bounded-frame-alloc",
-        summary: "every length-driven allocation in frame.rs decode paths \
-                  (Vec::with_capacity / vec![0; n] / Cursor::take of a decoded \
-                  length) must sit within a few lines of a dominating bound \
-                  check (MAX_FRAME_BYTES, payload.len(), remaining(), .min())",
-    },
-];
-
-/// Files whose clock reads must sit behind the obs enabled-gate.
-const HOT_PATH_FILES: &[&str] = &[
-    "crates/core/src/online.rs",
-    "crates/core/src/cache.rs",
-    "crates/obs/src/trace.rs",
 ];
 
 /// Counter-name prefixes that require a paired test reference.
 const PAIRED_COUNTER_PREFIXES: &[&str] = &["online.degrade.", "online.neighbor_cache.", "cache."];
 
-/// How many lines above a clock read an `enabled()` gate may sit.
-const CLOCK_GATE_WINDOW: usize = 25;
-
-/// True when `code[pos]` starts a token (previous char is not part of an
-/// identifier), so `RecoverMutex<` never matches a `Mutex<` search.
-fn at_word_boundary(code: &str, pos: usize) -> bool {
-    pos == 0
-        || !code[..pos]
-            .chars()
-            .next_back()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_')
-}
-
-fn find_token(code: &str, token: &str) -> Option<usize> {
-    let mut from = 0;
-    while let Some(off) = code[from..].find(token) {
-        let pos = from + off;
-        if at_word_boundary(code, pos) {
-            return Some(pos);
-        }
-        from = pos + 1;
-    }
-    None
-}
-
 /// Runs every single-file rule over one scan.
 pub fn check_file(scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    no_unwrap(scan, out);
-    hot_path_clock(scan, out);
     float_eq(scan, out);
-    bare_sync_prim(scan, out);
     unwind_safe_mut(scan, out);
-    quant_plane_raw_read(scan, out);
-    model_access_outside_generation(scan, out);
-    trace_context_dropped(scan, out);
-    bounded_frame_alloc(scan, out);
-}
-
-// --------------------------------------------------------------------------
-// no-unwrap
-// --------------------------------------------------------------------------
-
-const PANICKY_TOKENS: &[(&str, &str)] = &[
-    (".unwrap()", "unwrap"),
-    (".expect(", "expect"),
-    ("panic!(", "panic!"),
-    ("unreachable!(", "unreachable!"),
-    ("todo!(", "todo!"),
-    ("unimplemented!(", "unimplemented!"),
-];
-
-fn no_unwrap(scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    for (i, l) in scan.lines.iter().enumerate() {
-        if l.in_test {
-            continue;
-        }
-        for (tok, name) in PANICKY_TOKENS {
-            let hit = if tok.starts_with('.') {
-                l.code.contains(tok)
-            } else {
-                find_token(&l.code, tok).is_some()
-            };
-            if hit {
-                out.push(Diagnostic {
-                    rule: "no-unwrap",
-                    path: scan.path.clone(),
-                    line: i + 1,
-                    message: format!(
-                        "`{name}` in production code; return an error, use the \
-                         recovering wrappers, or allowlist this file"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// --------------------------------------------------------------------------
-// hot-path-clock
-// --------------------------------------------------------------------------
-
-fn hot_path_clock(scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    if !HOT_PATH_FILES.iter().any(|f| scan.path.ends_with(f)) {
-        return;
-    }
-    for (i, l) in scan.lines.iter().enumerate() {
-        if l.in_test {
-            continue;
-        }
-        let clock = ["Instant::now", "SystemTime::now"]
-            .iter()
-            .find(|t| l.code.contains(*t));
-        let Some(clock) = clock else {
-            continue;
-        };
-        let gated = scan.lines[i.saturating_sub(CLOCK_GATE_WINDOW)..=i]
-            .iter()
-            .any(|g| !g.in_test && g.code.contains("enabled()"));
-        if !gated {
-            out.push(Diagnostic {
-                rule: "hot-path-clock",
-                path: scan.path.clone(),
-                line: i + 1,
-                message: format!(
-                    "`{clock}` on a hot path without an enabled() gate within the \
-                     previous {CLOCK_GATE_WINDOW} lines"
-                ),
-            });
-        }
-    }
 }
 
 // --------------------------------------------------------------------------
@@ -315,75 +162,6 @@ fn float_eq(scan: &FileScan, out: &mut Vec<Diagnostic>) {
 }
 
 // --------------------------------------------------------------------------
-// bare-sync-prim
-// --------------------------------------------------------------------------
-
-/// True when the line uses the std `Mutex` type directly: a bare
-/// `Mutex<`/`Mutex::new` (imported) or one qualified through a `std`/
-/// `sync` path. Shim-associated types (`S::Mutex`) and the wrappers
-/// (`RecoverMutex`) don't count.
-fn bare_std_mutex(code: &str) -> bool {
-    for token in ["Mutex<", "Mutex::new"] {
-        let mut from = 0;
-        while let Some(off) = code[from..].find(token) {
-            let pos = from + off;
-            from = pos + 1;
-            if !at_word_boundary(code, pos) {
-                continue;
-            }
-            if let Some(qualified) = code[..pos].strip_suffix("::") {
-                let qual: String = qualified
-                    .chars()
-                    .rev()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .rev()
-                    .collect();
-                if qual != "std" && qual != "sync" {
-                    // Not a std path (e.g. `S::Mutex` from a Shim bound).
-                    continue;
-                }
-            }
-            return true;
-        }
-    }
-    false
-}
-
-fn bare_sync_prim(scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    let scoped = scan.path.starts_with("crates/core/") || scan.path.starts_with("crates/obs/");
-    if !scoped {
-        return;
-    }
-    for (i, l) in scan.lines.iter().enumerate() {
-        if l.in_test {
-            continue;
-        }
-        if find_token(&l.code, "static mut").is_some() {
-            out.push(Diagnostic {
-                rule: "bare-sync-prim",
-                path: scan.path.clone(),
-                line: i + 1,
-                message: "`static mut` is forbidden; use atomics or the cf_obs::sync \
-                          wrappers"
-                    .to_string(),
-            });
-        }
-        if bare_std_mutex(&l.code) {
-            out.push(Diagnostic {
-                rule: "bare-sync-prim",
-                path: scan.path.clone(),
-                line: i + 1,
-                message: "bare std::sync::Mutex in core/obs; use \
-                          cf_obs::sync::RecoverMutex (poison-resetting) instead"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-// --------------------------------------------------------------------------
 // unwind-safe-mut
 // --------------------------------------------------------------------------
 
@@ -438,291 +216,6 @@ fn unwind_safe_mut(scan: &FileScan, out: &mut Vec<Diagnostic>) {
 }
 
 // --------------------------------------------------------------------------
-// quant-plane-raw-read
-// --------------------------------------------------------------------------
-
-/// The one file allowed to touch quantized cell encodings directly.
-const PLANES_FILE: &str = "crates/matrix/src/planes.rs";
-
-/// Quantized plane cells carry `(code << 1) | provenance` plus a weight
-/// LUT; decoding them anywhere but `planes.rs` duplicates the encoding
-/// and silently diverges when it changes. `QuantCell::bits()` calls
-/// (`.bits()` is a word distinct from `f64::to_bits()`) and the `wlut`
-/// table must stay inside [`PLANES_FILE`] — kernels consume
-/// `PlaneDequant::pair` / `present_bit` instead.
-fn quant_plane_raw_read(scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    if scan.path.ends_with(PLANES_FILE) {
-        return;
-    }
-    for (i, l) in scan.lines.iter().enumerate() {
-        if l.in_test {
-            continue;
-        }
-        if l.code.contains(".bits()") {
-            out.push(Diagnostic {
-                rule: "quant-plane-raw-read",
-                path: scan.path.clone(),
-                line: i + 1,
-                message: "raw `.bits()` read of a quantized plane cell outside \
-                          planes.rs; dequantize through PlaneDequant::pair"
-                    .to_string(),
-            });
-        }
-        if find_token(&l.code, "wlut").is_some() {
-            out.push(Diagnostic {
-                rule: "quant-plane-raw-read",
-                path: scan.path.clone(),
-                line: i + 1,
-                message: "the plane weight LUT is private to planes.rs; use \
-                          PlaneDequant::pair instead of reading `wlut`"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-// --------------------------------------------------------------------------
-// model-access-outside-generation
-// --------------------------------------------------------------------------
-
-/// The serving tier's one sanctioned doorway to the concrete model.
-const MODEL_DOORWAY_FILE: &str = "crates/serve/src/live.rs";
-
-/// Zero-pause refresh works because every serve path takes its model
-/// snapshot through `ModelHandle` (an RCU generation-cell load). A raw
-/// `Cfsf` reference held across requests would pin one generation
-/// forever — invisible in review, fatal to live refresh — so the
-/// concrete type may only be named in [`MODEL_DOORWAY_FILE`]. The
-/// scanner has already blanked comments and strings; `Cfsf` here is a
-/// word-boundary token match, so `CfsfConfig`/`cfsf_core` never fire.
-fn model_access_outside_generation(scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    if !scan.path.starts_with("crates/serve/src/") || scan.path.ends_with(MODEL_DOORWAY_FILE) {
-        return;
-    }
-    for (i, l) in scan.lines.iter().enumerate() {
-        if l.in_test {
-            continue;
-        }
-        let mut from = 0;
-        while let Some(off) = l.code[from..].find("Cfsf") {
-            let pos = from + off;
-            from = pos + 1;
-            if !at_word_boundary(&l.code, pos) {
-                continue;
-            }
-            // Token must also END at a word boundary: `CfsfConfig` and
-            // `CfsfError` are not the concrete model type.
-            let after = l.code[pos + "Cfsf".len()..].chars().next();
-            if after.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-                continue;
-            }
-            out.push(Diagnostic {
-                rule: "model-access-outside-generation",
-                path: scan.path.clone(),
-                line: i + 1,
-                message: "concrete model type named outside live.rs; serve paths \
-                          must load generation snapshots through ModelHandle"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-// --------------------------------------------------------------------------
-// trace-context-dropped
-// --------------------------------------------------------------------------
-
-/// The one file allowed to build traced request frames field by field.
-const FRAME_FILE: &str = "crates/serve/src/frame.rs";
-
-/// Request variants that carry a trailing trace context.
-const TRACED_VARIANTS: &[&str] = &[
-    "Request::Predict",
-    "Request::PredictBatch",
-    "Request::RecommendTopN",
-];
-
-/// The frame helpers (`Request::predict` & co.) capture the ambient
-/// trace context at construction; a literal `Request::Predict { ... }`
-/// built elsewhere almost always writes `trace: None` (or forgets the
-/// capture), silently severing the cross-process span tree. Match
-/// *patterns* over the same variants are fine — destructuring drops
-/// nothing — so a brace group that is a rest pattern (`..`), sits in a
-/// `let`/`if let`, or is followed by `=>` is exempt, as is test code.
-fn trace_context_dropped(scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    if scan.path.ends_with(FRAME_FILE) {
-        return;
-    }
-    for (i, l) in scan.lines.iter().enumerate() {
-        if l.in_test {
-            continue;
-        }
-        for variant in TRACED_VARIANTS {
-            let Some(pos) = find_token(&l.code, variant) else {
-                continue;
-            };
-            // Only struct syntax counts; `Request::Predict(..)` does not
-            // exist and helper calls are lowercase.
-            let rest = l.code[pos + variant.len()..].trim_start();
-            if !rest.starts_with('{') {
-                continue;
-            }
-            // `let Request::Predict { .. } = req` destructures; but a
-            // `let r = Request::Predict { .. }` binding (an `=` between
-            // the `let` and the variant) is still a construction.
-            if let Some(let_pos) = find_token(&l.code[..pos], "let") {
-                if !l.code[let_pos..pos].contains('=') {
-                    continue;
-                }
-            }
-            // Collect the brace group (possibly across lines) and what
-            // follows it, to tell a pattern from a construction.
-            let mut depth = 0i32;
-            let mut group = String::new();
-            let mut after = ' ';
-            'outer: for (j, line) in scan.lines.iter().enumerate().skip(i).take(20) {
-                let start = if j == i { pos + variant.len() } else { 0 };
-                let mut chars = line.code[start..].chars().peekable();
-                while let Some(c) = chars.next() {
-                    match c {
-                        '{' => depth += 1,
-                        '}' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                after = chars.find(|c| !c.is_whitespace()).unwrap_or(' ');
-                                break 'outer;
-                            }
-                        }
-                        _ => {}
-                    }
-                    if depth > 0 {
-                        group.push(c);
-                    }
-                }
-                group.push('\n');
-            }
-            if group.contains("..") || after == '=' {
-                continue;
-            }
-            out.push(Diagnostic {
-                rule: "trace-context-dropped",
-                path: scan.path.clone(),
-                line: i + 1,
-                message: format!(
-                    "literal `{variant} {{ ... }}` outside frame.rs drops the \
-                     ambient trace context; build the frame through the \
-                     Request helper constructors"
-                ),
-            });
-        }
-    }
-}
-
-// --------------------------------------------------------------------------
-// bounded-frame-alloc
-// --------------------------------------------------------------------------
-
-/// How many lines above a length-driven allocation its bound check may
-/// sit.
-const ALLOC_BOUND_WINDOW: usize = 6;
-
-/// Evidence that a decoded length was dominated before use: the frame
-/// cap, the arrived payload, the cursor's remaining bytes, or an
-/// explicit clamp.
-const ALLOC_BOUND_TOKENS: &[&str] = &["MAX_FRAME_BYTES", "payload.len()", "remaining()", ".min("];
-
-/// Allocation shapes whose argument is a decoded length when it is a
-/// bare identifier.
-const ALLOC_TOKENS: &[&str] = &["Vec::with_capacity(", "vec![0u8; ", "vec![0; ", ".take("];
-
-/// True when `code` contains `word` as a whole identifier (both ends at
-/// word boundaries).
-fn contains_word(code: &str, word: &str) -> bool {
-    let mut from = 0;
-    while let Some(off) = code[from..].find(word) {
-        let pos = from + off;
-        from = pos + 1;
-        if !at_word_boundary(code, pos) {
-            continue;
-        }
-        let after = code[pos + word.len()..].chars().next();
-        if !after.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-            return true;
-        }
-    }
-    false
-}
-
-/// Extracts the argument of `token` at `pos` up to the closing `)`/`]`,
-/// stripping integer casts and `?`; returns it only when what remains is
-/// a bare identifier (a decoded length variable). Literals (`take(4)`)
-/// and compound expressions (`with_capacity(a + b)`) are inherently
-/// sized by the caller, not the wire.
-fn length_identifier<'a>(code: &'a str, pos: usize, token: &str) -> Option<&'a str> {
-    let rest = &code[pos + token.len()..];
-    let end = rest.find([')', ']'])?;
-    let mut arg = rest[..end].trim();
-    for cast in [" as usize", " as u64", " as u32"] {
-        arg = arg.strip_suffix(cast).unwrap_or(arg);
-    }
-    let arg = arg.trim();
-    (!arg.is_empty()
-        && arg.chars().next().is_some_and(|c| c.is_ascii_alphabetic())
-        && arg.chars().all(|c| c.is_alphanumeric() || c == '_'))
-    .then_some(arg)
-}
-
-/// Frame decode paths allocate buffers sized by lengths an untrusted
-/// peer declared. [`FRAME_FILE`]'s contract is that every such length is
-/// dominated — by the 64 MiB frame cap, by the payload that actually
-/// arrived, or by an explicit clamp — **before** the allocation, so a
-/// corrupt length costs a `Malformed` error, never a multi-gigabyte
-/// `Vec`. This rule enforces the pattern structurally: a length-driven
-/// allocation with no dominating bound within the previous
-/// [`ALLOC_BOUND_WINDOW`] lines is a diagnostic.
-fn bounded_frame_alloc(scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    if !scan.path.ends_with(FRAME_FILE) {
-        return;
-    }
-    for (i, l) in scan.lines.iter().enumerate() {
-        if l.in_test {
-            continue;
-        }
-        for token in ALLOC_TOKENS {
-            let mut from = 0;
-            while let Some(off) = l.code[from..].find(token) {
-                let pos = from + off;
-                from = pos + token.len();
-                let Some(ident) = length_identifier(&l.code, pos, token) else {
-                    continue;
-                };
-                let bounded = scan.lines[i.saturating_sub(ALLOC_BOUND_WINDOW)..=i]
-                    .iter()
-                    .any(|g| {
-                        !g.in_test
-                            && contains_word(&g.code, ident)
-                            && ALLOC_BOUND_TOKENS.iter().any(|t| g.code.contains(t))
-                    });
-                if !bounded {
-                    out.push(Diagnostic {
-                        rule: "bounded-frame-alloc",
-                        path: scan.path.clone(),
-                        line: i + 1,
-                        message: format!(
-                            "`{}{ident}…` sized by a decoded length with no dominating \
-                             bound within the previous {ALLOC_BOUND_WINDOW} lines; \
-                             check against MAX_FRAME_BYTES / payload.len() / \
-                             remaining() before allocating",
-                            token.trim_end()
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-// --------------------------------------------------------------------------
 // counter-pairing (cross-file)
 // --------------------------------------------------------------------------
 
@@ -768,48 +261,28 @@ pub fn check_counter_pairing(scans: &[FileScan], out: &mut Vec<Diagnostic>) {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{lint_scans, scan_file, Allowlist};
+    use super::super::{lint_scans, scan_file};
     use super::*;
 
     fn lint_one(path: &str, src: &str) -> Vec<Diagnostic> {
-        let scan = scan_file(path, src);
-        lint_scans(&[scan], &Allowlist::default()).diagnostics
+        lint_scans(&[scan_file(path, src)]).diagnostics
     }
 
     #[test]
-    fn unwrap_flagged_in_prod_not_in_tests() {
-        let src = "fn f() { x.unwrap(); }\n\
+    fn float_eq_flagged_in_prod_not_in_tests() {
+        let src = "fn f(x: f64) -> bool { x == 0.0 }\n\
                    #[cfg(test)]\n\
-                   mod tests {\n    fn g() { y.unwrap(); }\n}\n";
+                   mod tests {\n    fn g(y: f64) -> bool { y == 0.0 }\n}\n";
         let d = lint_one("crates/core/src/x.rs", src);
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "no-unwrap");
         assert_eq!(d[0].line, 1);
+        assert!(lint_one("crates/core/tests/x.rs", src).is_empty());
     }
 
     #[test]
-    fn unwrap_in_string_or_comment_is_ignored() {
-        let src = "fn f() { let s = \".unwrap()\"; } // .unwrap() here too\n";
+    fn literals_in_strings_and_comments_are_ignored() {
+        let src = "fn f() { let s = \"x == 0.0\"; } // x == 0.0 here too\n";
         assert!(lint_one("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unwrap_or_variants_do_not_match() {
-        let src = "fn f() { x.unwrap_or(0); y.unwrap_or_else(|| 1); z.unwrap_or_default(); }\n";
-        assert!(lint_one("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn clock_in_hot_file_needs_gate() {
-        let bad = "fn f() { let t = Instant::now(); }\n";
-        let good =
-            "fn f() {\n    if !crate::enabled() { return; }\n    let t = Instant::now();\n}\n";
-        let d = lint_one("crates/core/src/online.rs", bad);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "hot-path-clock");
-        assert!(lint_one("crates/core/src/online.rs", good).is_empty());
-        // Non-hot files are never flagged.
-        assert!(lint_one("crates/core/src/batch.rs", bad).is_empty());
     }
 
     #[test]
@@ -840,32 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn bare_mutex_flagged_but_wrappers_pass() {
-        let bad = "use std::sync::Mutex;\nstatic S: Mutex<u32> = Mutex::new(0);\n";
-        let d = lint_one("crates/obs/src/x.rs", bad);
-        assert!(d.iter().all(|d| d.rule == "bare-sync-prim"));
-        assert!(!d.is_empty());
-        let good = "static S: RecoverMutex<u32> = RecoverMutex::new(0);\n";
-        assert!(lint_one("crates/obs/src/x.rs", good).is_empty());
-        // Shim-associated types are the sanctioned abstraction, not a
-        // bare std lock.
-        let shim = "struct R<S: Shim> { inner: S::Mutex<Vec<u8>> }\n";
-        assert!(lint_one("crates/obs/src/x.rs", shim).is_empty());
-        // Fully qualified std paths are still caught.
-        let qualified = "static S: std::sync::Mutex<u32> = std::sync::Mutex::new(0);\n";
-        assert!(!lint_one("crates/obs/src/x.rs", qualified).is_empty());
-        // Out of scope: other crates may use std Mutex.
-        assert!(lint_one("crates/analysis/src/x.rs", bad).is_empty());
-    }
-
-    #[test]
-    fn static_mut_flagged() {
-        let d = lint_one("crates/core/src/x.rs", "static mut COUNTER: u32 = 0;\n");
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "bare-sync-prim");
-    }
-
-    #[test]
     fn assert_unwind_safe_with_mut_capture() {
         let bad = "fn f(buf: &mut Vec<u8>) {\n    let r = catch_unwind(AssertUnwindSafe(|| {\n        step(&mut *buf);\n    }));\n}\n";
         let d = lint_one("crates/core/src/x.rs", bad);
@@ -877,129 +324,10 @@ mod tests {
     }
 
     #[test]
-    fn quant_raw_reads_flagged_outside_planes() {
-        let bits = "fn f(c: u16) -> u32 { QuantCell::bits(c) + x.bits() }\n";
-        let d = lint_one("crates/core/src/online.rs", bits);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "quant-plane-raw-read");
-        let lut = "fn f(dq: &D) -> f64 { dq.wlut[2] }\n";
-        let d = lint_one("crates/similarity/src/weighted.rs", lut);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "quant-plane-raw-read");
-        // planes.rs itself owns the encoding.
-        assert!(lint_one("crates/matrix/src/planes.rs", bits).is_empty());
-        assert!(lint_one("crates/matrix/src/planes.rs", lut).is_empty());
-        // f64 bit-twiddling (rsqrt) is a different token; tests may peek.
-        let to_bits = "fn f(x: f64) -> u64 { x.to_bits() }\n";
-        assert!(lint_one("crates/core/src/online.rs", to_bits).is_empty());
-        let in_test = "#[cfg(test)]\nmod tests {\n    fn g(c: u16) -> u32 { c.bits() }\n}\n";
-        assert!(lint_one("crates/core/src/online.rs", in_test).is_empty());
-    }
-
-    #[test]
-    fn model_type_flagged_in_serve_outside_live() {
-        let bad = "fn f(m: &Cfsf) { m.predict(u, i); }\n";
-        let d = lint_one("crates/serve/src/server.rs", bad);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "model-access-outside-generation");
-        let qualified = "fn f(m: Arc<cfsf_core::Cfsf>) {}\n";
-        let d = lint_one("crates/serve/src/router.rs", qualified);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "model-access-outside-generation");
-        // The doorway file owns the concrete type.
-        assert!(lint_one("crates/serve/src/live.rs", bad).is_empty());
-        // Config/error types and paths are not the model.
-        let config = "fn f(c: CfsfConfig) -> Result<(), CfsfError> { Ok(()) }\n";
-        assert!(lint_one("crates/serve/src/server.rs", config).is_empty());
-        let path_only = "use cfsf_core::DegradeLevel;\n";
-        assert!(lint_one("crates/serve/src/router.rs", path_only).is_empty());
-        // Other crates (and serve's tests/) may name the model freely.
-        assert!(lint_one("crates/core/src/model.rs", bad).is_empty());
-        assert!(lint_one("crates/serve/tests/roundtrip.rs", bad).is_empty());
-        let in_test = "#[cfg(test)]\nmod tests {\n    fn g(m: &Cfsf) {}\n}\n";
-        assert!(lint_one("crates/serve/src/server.rs", in_test).is_empty());
-    }
-
-    #[test]
-    fn literal_traced_request_flagged_outside_frame() {
-        let bad = "fn f() -> Request { Request::Predict { user: 1, item: 2, trace: None } }\n";
-        let d = lint_one("crates/serve/src/router.rs", bad);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "trace-context-dropped");
-        let bad_let =
-            "fn f() { let r = Request::RecommendTopN { user, n, item_start, item_end, trace };\n}\n";
-        let d = lint_one("src/bin/cfsf_cli.rs", bad_let);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "trace-context-dropped");
-        let multiline = "fn f() -> Request {\n    Request::PredictBatch {\n        pairs,\n        trace: None,\n    }\n}\n";
-        let d = lint_one("crates/serve/src/client.rs", multiline);
-        assert_eq!(d.len(), 1, "{d:?}");
-
-        // Patterns destructure — nothing is dropped.
-        let arm = "fn f(r: &Request) {\n    match r {\n        Request::Predict { user, item, .. } => go(*user, *item),\n        _ => {}\n    }\n}\n";
-        assert!(lint_one("crates/serve/src/server.rs", arm).is_empty());
-        let full_arm = "fn f(r: Request) -> u32 {\n    match r {\n        Request::Predict { user, item, trace } => user,\n        _ => 0,\n    }\n}\n";
-        assert!(lint_one("crates/serve/src/server.rs", full_arm).is_empty());
-        let if_let = "fn f(r: &Request) {\n    if let Request::Predict { user, item, trace } = r {\n        go(*user);\n    }\n}\n";
-        assert!(lint_one("crates/serve/src/server.rs", if_let).is_empty());
-        let matches = "fn f(r: &Request) -> bool { matches!(r, Request::Predict { .. }) }\n";
-        assert!(lint_one("crates/serve/src/router.rs", matches).is_empty());
-
-        // The helper calls and untraced variants are fine everywhere.
-        let helper = "fn f() -> Request { Request::predict(1, 2) }\n";
-        assert!(lint_one("crates/serve/src/router.rs", helper).is_empty());
-        let stats = "fn f() -> Request { Request::Stats }\n";
-        assert!(lint_one("crates/serve/src/router.rs", stats).is_empty());
-
-        // frame.rs owns the wire form; tests may build frames by hand.
-        assert!(lint_one("crates/serve/src/frame.rs", bad).is_empty());
-        assert!(lint_one("crates/serve/tests/roundtrip.rs", bad).is_empty());
-        let in_test = format!("#[cfg(test)]\nmod tests {{\n    {bad}}}\n");
-        assert!(lint_one("crates/serve/src/router.rs", &in_test).is_empty());
-    }
-
-    #[test]
-    fn unbounded_decode_alloc_flagged_in_frame_rs() {
-        let bad = "fn d(c: &mut Cursor) -> R {\n    let len = c.u32()? as usize;\n    let bytes = c.take(len)?;\n}\n";
-        let d = lint_one("crates/serve/src/frame.rs", bad);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "bounded-frame-alloc");
-        assert_eq!(d[0].line, 3);
-
-        let bad_cap = "fn d(c: &mut Cursor) -> R {\n    let count = c.u32()? as usize;\n    let mut v = Vec::with_capacity(count);\n}\n";
-        let d = lint_one("crates/serve/src/frame.rs", bad_cap);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "bounded-frame-alloc");
-
-        // A dominating bound within the window passes: the arrived
-        // payload, the frame cap, remaining(), or an explicit clamp.
-        for good in [
-            "fn d(c: &mut Cursor, payload: &[u8]) -> R {\n    let count = c.u32()? as usize;\n    if count > payload.len() / 8 + 1 {\n        return Err(FrameError::Malformed(\"count\"));\n    }\n    let mut v = Vec::with_capacity(count);\n}\n",
-            "fn d(c: &mut Cursor) -> R {\n    let len = c.u32()? as usize;\n    if len as usize > MAX_FRAME_BYTES {\n        return Err(FrameError::TooLarge(len));\n    }\n    let mut payload = vec![0u8; len as usize];\n}\n",
-            "fn d(c: &mut Cursor) -> R {\n    let len = c.u16()? as usize;\n    if len > c.remaining() {\n        return Err(FrameError::Malformed(\"len\"));\n    }\n    let bytes = c.take(len)?;\n}\n",
-            "fn d(c: &mut Cursor) -> R {\n    let n = c.u32()?.min(64) as usize;\n    let mut v = Vec::with_capacity(n);\n}\n",
-        ] {
-            assert!(
-                lint_one("crates/serve/src/frame.rs", good).is_empty(),
-                "false positive on {good:?}"
-            );
-        }
-
-        // Literal and compound-expression sizes are caller-controlled,
-        // not wire-controlled; other files are out of scope.
-        let literal = "fn d(c: &mut Cursor) -> R { let b = c.take(4)?; }\n";
-        assert!(lint_one("crates/serve/src/frame.rs", literal).is_empty());
-        let compound =
-            "fn e(payload: &[u8]) { let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 4); }\n";
-        assert!(lint_one("crates/serve/src/frame.rs", compound).is_empty());
-        assert!(lint_one("crates/serve/src/router.rs", bad).is_empty());
-    }
-
-    #[test]
     fn counter_pairing_requires_test_reference() {
         let prod = "fn f() { cf_obs::counter!(\"online.degrade.user_mean\").inc(); }\n";
         let scan = scan_file("crates/core/src/online.rs", prod);
-        let report = lint_scans(&[scan], &Allowlist::default());
+        let report = lint_scans(&[scan]);
         assert_eq!(report.diagnostics.len(), 1);
         assert_eq!(report.diagnostics[0].rule, "counter-pairing");
 
@@ -1009,65 +337,7 @@ mod tests {
             scan_file("crates/core/src/online.rs", prod),
             scan_file("crates/core/tests/balance.rs", test_file),
         ];
-        let report = lint_scans(&scans, &Allowlist::default());
+        let report = lint_scans(&scans);
         assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
-    }
-
-    #[test]
-    fn suppression_silences_and_is_counted() {
-        let src = "fn f() {\n    // cf-analysis: allow(no-unwrap)\n    x.unwrap();\n}\n";
-        let scan = scan_file("crates/core/src/x.rs", src);
-        let report = lint_scans(&[scan], &Allowlist::default());
-        assert!(report.diagnostics.is_empty());
-        assert_eq!(report.suppressed.len(), 1);
-        assert!(report.unused_suppressions.is_empty());
-    }
-
-    #[test]
-    fn unknown_suppression_rule_is_hard_error() {
-        let src = "// cf-analysis: allow(not-a-rule)\nfn f() {}\n";
-        let scan = scan_file("crates/core/src/x.rs", src);
-        let report = lint_scans(&[scan], &Allowlist::default());
-        assert_eq!(report.errors.len(), 1);
-        assert_eq!(report.errors[0].rule, "bad-suppression");
-        assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn unused_suppression_reported_not_fatal() {
-        let src = "// cf-analysis: allow(no-unwrap)\nfn f() {}\n";
-        let scan = scan_file("crates/core/src/x.rs", src);
-        let report = lint_scans(&[scan], &Allowlist::default());
-        assert!(report.is_clean());
-        assert_eq!(report.unused_suppressions.len(), 1);
-    }
-
-    #[test]
-    fn allowlist_exempts_by_prefix() {
-        let src = "fn f() { x.unwrap(); }\n";
-        let scan = scan_file("crates/analysis/src/sched.rs", src);
-        let allow = Allowlist::parse("no-unwrap crates/analysis/src/\n").unwrap();
-        let report = lint_scans(&[scan], &allow);
-        assert!(report.is_clean());
-    }
-
-    #[test]
-    fn allowlist_rejects_unknown_rule() {
-        assert!(Allowlist::parse("bogus-rule crates/\n").is_err());
-    }
-
-    #[test]
-    fn stale_allowlist_entry_is_hard_error() {
-        let src = "fn f() { x.unwrap(); }\n";
-        let scan = scan_file("crates/analysis/src/sched.rs", src);
-        // Second entry exempts a path with no findings: stale.
-        let allow = Allowlist::parse("no-unwrap crates/analysis/src/\nfloat-eq crates/gone/src/\n")
-            .unwrap();
-        let report = lint_scans(&[scan], &allow);
-        assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
-        assert_eq!(report.errors[0].rule, "stale-allowlist");
-        assert_eq!(report.errors[0].line, 2);
-        assert!(report.errors[0].message.contains("crates/gone/src/"));
-        assert!(!report.is_clean());
     }
 }

@@ -145,7 +145,6 @@ impl Cfsf {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::CfsfConfig;

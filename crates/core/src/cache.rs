@@ -23,6 +23,8 @@
 //! explores thread interleavings against its invariants (bounded
 //! capacity, no lost entries, poison reset never breaks structure).
 
+#![warn(clippy::disallowed_methods)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -329,7 +331,6 @@ impl std::fmt::Debug for ShardedCache {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

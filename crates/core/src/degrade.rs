@@ -124,7 +124,6 @@ impl std::fmt::Display for DegradeLevel {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

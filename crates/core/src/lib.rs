@@ -36,7 +36,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![warn(clippy::allow_attributes_without_reason)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "clock reads are policed only in the hot-path modules, which re-enable the lint"
+)]
 
 mod batch;
 pub mod cache;

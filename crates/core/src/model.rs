@@ -295,7 +295,6 @@ impl Predictor for Cfsf {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use cf_data::SyntheticConfig;

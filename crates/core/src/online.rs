@@ -19,6 +19,8 @@
 //!   so availability, overlap counts, and degrade levels match exactly)
 //!   and the baseline the throughput benchmark measures speedups from.
 
+#![warn(clippy::disallowed_methods)]
+
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -316,7 +318,10 @@ impl Cfsf {
     /// identically. Returns the sanitized estimators, the (unclamped)
     /// prediction and the rung it came from; an in-range request always
     /// gets a value — the global-mean rung cannot be missing.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "a flat tuple that both call sites destructure at once"
+    )]
     fn fuse_with_ladder(
         &self,
         user: UserId,
@@ -535,7 +540,6 @@ impl Cfsf {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::CfsfConfig;

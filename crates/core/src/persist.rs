@@ -641,7 +641,6 @@ fn decode_planes(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use cf_data::SyntheticConfig;

@@ -929,7 +929,6 @@ fn merged_matrix(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::CfsfConfig;

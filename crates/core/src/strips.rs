@@ -97,7 +97,6 @@ impl ItemStrips {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use cf_matrix::{ItemId, MatrixBuilder, UserId};

@@ -16,16 +16,21 @@
 //! failing scenario cannot poison its neighbors.
 
 #![cfg(feature = "faultinject")]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the clock reads bound a test's wait, not a request"
+)]
 
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{MutexGuard, OnceLock};
 
 use cf_faultinject as fi;
 use cf_matrix::{ItemId, Predictor, UserId};
+use cf_obs::sync::RecoverMutex;
 use cfsf_core::{Cfsf, CfsfConfig, DegradeLevel, DriftConfig, DriftState, SelfHealingCfsf};
 
 // --- scenario scaffolding ----------------------------------------------
 
-static FAULTS: Mutex<()> = Mutex::new(());
+static FAULTS: RecoverMutex<()> = RecoverMutex::new(());
 
 /// Serializes a scenario against the global injection registry, silences
 /// the panic hook (several scenarios *expect* caught panics), and
@@ -38,7 +43,7 @@ struct Scope {
 }
 
 fn scope() -> Scope {
-    let lock = FAULTS.lock().unwrap_or_else(PoisonError::into_inner);
+    let lock = FAULTS.lock();
     fi::disarm_all();
     let prev = std::panic::take_hook();
     if std::env::var("CHAOS_LOUD").is_err() {

@@ -2,8 +2,6 @@
 //! process-wide, so this test runs in its own process: the drift windows
 //! are model state and must keep recording while metrics are off.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::time::Duration;
 
 use cf_matrix::{ItemId, UserId};

@@ -15,10 +15,8 @@ const ITEMS: usize = 120;
 
 /// Both tests measure deltas of the same global counters.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    static SERIAL: cf_obs::sync::RecoverMutex<()> = cf_obs::sync::RecoverMutex::new(());
+    SERIAL.lock()
 }
 
 fn model() -> Cfsf {

@@ -14,19 +14,23 @@
 //! Each test runs four reader threads against its own rebuild, so the
 //! tests serialize on a local mutex rather than compete for the cores.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the clock reads bound a test's wait, not a request"
+)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
 use cf_matrix::{ItemId, UserId};
+use cf_obs::sync::RecoverMutex;
 use cfsf_core::{Cfsf, CfsfConfig, DriftConfig, DriftState, SelfHealingCfsf};
 
-static SERIAL: Mutex<()> = Mutex::new(());
+static SERIAL: RecoverMutex<()> = RecoverMutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    SERIAL.lock()
 }
 
 fn fitted() -> Cfsf {

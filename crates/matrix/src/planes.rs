@@ -36,8 +36,9 @@
 //!   bit-identical to the exact layout.
 //!
 //! All raw code/LUT handling lives in this file behind [`PlaneDequant`]
-//! and the typed row views; kernels never touch cell bits directly (the
-//! `quant-plane-raw-read` cf-analysis lint enforces this).
+//! and the typed row views; kernels never touch cell bits directly
+//! ([`QuantCell::bits`] takes a key only this file can build, and the LUT
+//! is a private field).
 
 use crate::{DenseRatings, ItemId, UserId};
 
@@ -82,6 +83,26 @@ impl PlanePrecision {
 /// Implemented for `u16` and `u8`; kernels are generic over this trait and
 /// monomorphize per precision, so the dequant math inlines with no
 /// per-cell dispatch.
+///
+/// The encoding stays inside this module. Kernels dequantize through
+/// [`PlaneDequant::pair`]:
+///
+/// ```
+/// use cf_matrix::{PlaneDequant, QuantCell};
+///
+/// fn weight<C: QuantCell>(dq: &PlaneDequant, c: C) -> f64 {
+///     dq.pair(c).0
+/// }
+/// ```
+///
+/// Reading the raw bits needs a key that only this module can build, so
+/// not even generic code elsewhere can decode a cell on its own:
+///
+/// ```compile_fail,E0061
+/// fn raw<C: cf_matrix::QuantCell>(c: C) -> u32 {
+///     c.bits()
+/// }
+/// ```
 pub trait QuantCell: Copy + Send + Sync + 'static {
     /// Bits available for the rating code (cell width minus the
     /// presence and provenance bits).
@@ -91,8 +112,14 @@ pub trait QuantCell: Copy + Send + Sync + 'static {
     /// Packs raw cell bits (code + provenance already combined).
     fn pack(bits: u32) -> Self;
     /// The raw cell bits.
-    fn bits(self) -> u32;
+    fn bits(self, key: CellKey) -> u32;
 }
+
+/// The argument of [`QuantCell::bits`]. Its field is private and the
+/// type is not exported, so only this module can read raw cell bits.
+pub struct CellKey(());
+
+const KEY: CellKey = CellKey(());
 
 impl QuantCell for u16 {
     const CODE_BITS: u32 = 14;
@@ -101,7 +128,7 @@ impl QuantCell for u16 {
         bits as u16
     }
     #[inline]
-    fn bits(self) -> u32 {
+    fn bits(self, _: CellKey) -> u32 {
         self as u32
     }
 }
@@ -113,7 +140,7 @@ impl QuantCell for u8 {
         bits as u8
     }
     #[inline]
-    fn bits(self) -> u32 {
+    fn bits(self, _: CellKey) -> u32 {
         self as u32
     }
 }
@@ -142,7 +169,7 @@ impl PlaneDequant {
     /// presence-word stream.
     #[inline(always)]
     pub fn pair<C: QuantCell>(&self, cell: C) -> (f64, f64) {
-        let b = cell.bits();
+        let b = cell.bits(KEY);
         let w = self.wlut[(b & 3) as usize];
         let r = (b >> 2) as f64 * self.step + self.min;
         (w, w * r)
@@ -152,7 +179,7 @@ impl PlaneDequant {
     /// kernels that also count overlap (`m_used`, PCC normalization).
     #[inline(always)]
     pub fn triple<C: QuantCell>(&self, cell: C) -> (f64, f64, u64) {
-        let b = cell.bits();
+        let b = cell.bits(KEY);
         let w = self.wlut[(b & 3) as usize];
         let r = (b >> 2) as f64 * self.step + self.min;
         (w, w * r, u64::from((b >> 1) & 1))
@@ -235,7 +262,7 @@ impl<'a, C: QuantCell> TypedPlanes<'a, C> {
         let mut acc = 0u32;
         let mut c = 0;
         while c < row.len() {
-            acc ^= row[c].bits();
+            acc ^= row[c].bits(KEY);
             c += stride;
         }
         std::hint::black_box(acc);

@@ -33,9 +33,14 @@
 //!
 //! [`RecoverMutex`] is also exported on its own as the repo's sanctioned
 //! replacement for bare `std::sync::Mutex` in `crates/core`/`crates/obs`
-//! (`cf-analysis` lint rule `bare-sync-prim`): its `lock()` recovers from
+//! (`disallowed-types` in those crates' `clippy.toml`): its `lock()` recovers from
 //! poisoning instead of panicking, so one panicking holder cannot
 //! cascade into every later lock site.
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "the poison-recovering wrappers are built on the std primitives they wrap"
+)]
 
 use std::ops::{Deref, DerefMut};
 
@@ -237,7 +242,7 @@ pub struct RecoverMutex<T>(std::sync::Mutex<T>);
 
 impl<T> RecoverMutex<T> {
     /// A fresh mutex protecting `value`.
-    pub fn new(value: T) -> Self {
+    pub const fn new(value: T) -> Self {
         Self(std::sync::Mutex::new(value))
     }
 
@@ -313,6 +318,10 @@ impl<T: Send + Sync> ShimRwLock<T> for std::sync::RwLock<T> {
             let _guard = self
                 .write()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
+            #[allow(
+                clippy::panic,
+                reason = "poison instrumentation: the panic is the point, and catch_unwind contains it"
+            )]
             std::panic::panic_any(PoisonToken);
         }));
         debug_assert!(result.is_err());
@@ -332,7 +341,6 @@ impl Shim for StdShim {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use std::sync::RwLock;

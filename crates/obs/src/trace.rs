@@ -35,6 +35,8 @@
 //! 0 makes [`begin_request`] return an inert guard — no timestamps, no
 //! TLS writes beyond one flag read, nothing recorded.
 
+#![warn(clippy::disallowed_methods)]
+
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -418,7 +420,12 @@ pub fn begin_request(user: u32, item: u32) -> RequestGuard {
     };
     DETAIL.with(|d| {
         let d = &mut *d.borrow_mut();
-        d.start = Some(Instant::now());
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "gated: only an armed request (telemetry enabled, sample rate > 0) reads the clock"
+        )]
+        let start = Instant::now();
+        d.start = Some(start);
         d.user = user;
         d.item = item;
         d.depth = 0;
@@ -823,15 +830,12 @@ pub fn render_current() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
 
     /// Trace tests share process-global rings; serialize them.
-    static TEST_LOCK: StdMutex<()> = StdMutex::new(());
+    static TEST_LOCK: RecoverMutex<()> = RecoverMutex::new(());
 
     fn locked() -> std::sync::MutexGuard<'static, ()> {
-        let g = TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let g = TEST_LOCK.lock();
         clear();
         set_head_sample_every(64);
         g

@@ -3,7 +3,10 @@
 //! stalled half-heads, and oversized heads — must now get `200`, `408`,
 //! and `431` respectively, and none of them may wedge the accept loop.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the clock reads time a test client, not a request"
+)]
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -2,18 +2,23 @@
 //! run threads in parallel, and flipping the process-wide flag there
 //! would race every other recording test.
 
+use cf_obs::sync::RecoverMutex;
 use cf_obs::{set_enabled, Counter, Gauge, Histogram, Registry, SpanTimer};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::MutexGuard;
 
 /// The tests below flip the process-wide enable flag; they serialize on
 /// this lock (and restore the flag on exit) so they cannot race each
 /// other inside this binary.
-static FLAG: Mutex<()> = Mutex::new(());
+static FLAG: RecoverMutex<()> = RecoverMutex::new(());
 
-struct EnabledScope(#[allow(dead_code)] MutexGuard<'static, ()>);
+struct EnabledScope {
+    _guard: MutexGuard<'static, ()>,
+}
 
 fn locked() -> EnabledScope {
-    EnabledScope(FLAG.lock().unwrap_or_else(PoisonError::into_inner))
+    EnabledScope {
+        _guard: FLAG.lock(),
+    }
 }
 
 impl Drop for EnabledScope {

@@ -136,8 +136,8 @@ pub enum Request {
         /// Caller's trace context, propagated so the shard continues the
         /// span tree under the same trace id. Travels as appended
         /// trailing payload — old peers ignore it, and frames from old
-        /// peers decode as `None`.
-        trace: Option<TraceContext>,
+        /// peers decode with no context.
+        trace: FrameTrace,
     },
     /// Top-`n` recommendations for `user` over the item stripe
     /// `[item_start, item_end)`; `item_end == u32::MAX` means "through
@@ -153,7 +153,7 @@ pub enum Request {
         /// One past the last item of the stripe; `u32::MAX` = item count.
         item_end: u32,
         /// Caller's trace context (see [`Request::Predict::trace`]).
-        trace: Option<TraceContext>,
+        trace: FrameTrace,
     },
     /// Fetch the fallback profile (scale, global/user means) the router
     /// serves degraded answers from when a shard is unreachable.
@@ -167,7 +167,7 @@ pub enum Request {
         /// 0-based `(user, item)` pairs, answered in this order.
         pairs: Vec<(u32, u32)>,
         /// Caller's trace context (see [`Request::Predict::trace`]).
-        trace: Option<TraceContext>,
+        trace: FrameTrace,
     },
     /// Fetch the shard's mergeable metrics snapshot
     /// ([`cf_obs::merge::MergeSnapshot`] wire bytes) for fleet
@@ -175,16 +175,46 @@ pub enum Request {
     Stats,
 }
 
+/// The trace context a traced request carries. Only this module builds
+/// one: the [`Request`] constructors capture the calling thread's
+/// context, and the decoder reads it off the wire. So code elsewhere
+/// cannot build a traced request that silently drops its context:
+///
+/// ```compile_fail,E0308
+/// let _ = cf_serve::Request::Predict { user: 1, item: 2, trace: None };
+/// ```
+///
+/// ```compile_fail,E0423
+/// use cf_serve::frame::{FrameTrace, Request};
+/// let _ = Request::Predict { user: 1, item: 2, trace: FrameTrace(None) };
+/// ```
+///
+/// Building through the constructors and matching with `..` work
+/// anywhere:
+///
+/// ```
+/// use cf_serve::Request;
+/// let req = Request::predict(1, 2);
+/// assert!(matches!(req, Request::Predict { user: 1, item: 2, .. }));
+/// assert_eq!(req.trace_context(), None);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameTrace(Option<TraceContext>);
+
+impl FrameTrace {
+    fn current() -> Self {
+        Self(cf_obs::trace::current_context())
+    }
+}
+
 impl Request {
     /// A [`Request::Predict`] carrying the calling thread's current
-    /// trace context (if a request trace is active). Always build
-    /// predict frames through this — the `trace-context-dropped` lint
-    /// flags literal construction outside this module.
+    /// trace context (if a request trace is active).
     pub fn predict(user: u32, item: u32) -> Self {
         Self::Predict {
             user,
             item,
-            trace: cf_obs::trace::current_context(),
+            trace: FrameTrace::current(),
         }
     }
 
@@ -195,7 +225,7 @@ impl Request {
             n,
             item_start,
             item_end,
-            trace: cf_obs::trace::current_context(),
+            trace: FrameTrace::current(),
         }
     }
 
@@ -203,7 +233,7 @@ impl Request {
     pub fn predict_batch(pairs: Vec<(u32, u32)>) -> Self {
         Self::PredictBatch {
             pairs,
-            trace: cf_obs::trace::current_context(),
+            trace: FrameTrace::current(),
         }
     }
 
@@ -212,7 +242,7 @@ impl Request {
         match self {
             Self::Predict { trace, .. }
             | Self::RecommendTopN { trace, .. }
-            | Self::PredictBatch { trace, .. } => *trace,
+            | Self::PredictBatch { trace, .. } => trace.0,
             Self::Health | Self::Profile | Self::Stats => None,
         }
     }
@@ -383,6 +413,31 @@ impl<'a> Cursor<'a> {
     fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
+
+    /// Decodes a `count`-element sequence with `elem`. A count whose
+    /// elements, at `min_bytes` each, cannot fit in the rest of the
+    /// payload is `Malformed` before anything is allocated, so a lying
+    /// count never sizes a `Vec` past the bytes that arrived.
+    fn counted<T>(
+        &mut self,
+        count: u64,
+        min_bytes: usize,
+        what: &'static str,
+        mut elem: impl FnMut(&mut Self) -> Result<T, FrameError>,
+    ) -> Result<Vec<T>, FrameError> {
+        let n = usize::try_from(count).map_err(|_| FrameError::Malformed(what))?;
+        let fits = n
+            .checked_mul(min_bytes)
+            .is_some_and(|b| b <= self.remaining());
+        if !fits {
+            return Err(FrameError::Malformed(what));
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(elem(self)?);
+        }
+        Ok(out)
+    }
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -409,8 +464,8 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
 // must not be able to fail serving.
 
 /// Appends `ctx` after the request's original payload fields.
-fn put_trace_context(out: &mut Vec<u8>, ctx: &Option<TraceContext>) {
-    if let Some(ctx) = ctx {
+fn put_trace_context(out: &mut Vec<u8>, trace: &FrameTrace) {
+    if let Some(ctx) = trace.0 {
         out.push(1);
         put_u64(out, ctx.trace_id);
         put_u32(out, ctx.parent_span);
@@ -547,31 +602,23 @@ impl Request {
             KIND_PREDICT => Self::Predict {
                 user: c.u32()?,
                 item: c.u32()?,
-                trace: take_trace_context(&mut c),
+                trace: FrameTrace(take_trace_context(&mut c)),
             },
             KIND_RECOMMEND => Self::RecommendTopN {
                 user: c.u32()?,
                 n: c.u32()?,
                 item_start: c.u32()?,
                 item_end: c.u32()?,
-                trace: take_trace_context(&mut c),
+                trace: FrameTrace(take_trace_context(&mut c)),
             },
             KIND_PREDICT_BATCH => {
-                let count = c.u32()? as usize;
-                // Sanity-bound against the payload that actually arrived
-                // (8 bytes per pair) before allocating.
-                if count > payload.len() / 8 + 1 {
-                    return Err(FrameError::Malformed("batch count exceeds payload"));
-                }
-                let mut pairs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let user = c.u32()?;
-                    let item = c.u32()?;
-                    pairs.push((user, item));
-                }
+                let count = c.u32()?.into();
+                let pairs = c.counted(count, 8, "batch count exceeds payload", |c| {
+                    Ok((c.u32()?, c.u32()?))
+                })?;
                 Self::PredictBatch {
                     pairs,
-                    trace: take_trace_context(&mut c),
+                    trace: FrameTrace(take_trace_context(&mut c)),
                 }
             }
             other => return Err(FrameError::UnknownKind(other)),
@@ -664,7 +711,7 @@ impl Response {
     /// one).
     fn decode_with_spans(kind: u16, payload: &[u8]) -> Result<(Self, Vec<RemoteSpan>), FrameError> {
         let mut c = Cursor::new(payload);
-        let resp = Self::decode_body(&mut c, kind, payload)?;
+        let resp = Self::decode_body(&mut c, kind)?;
         let spans = if span_capable(kind) {
             take_spans(&mut c)
         } else {
@@ -673,7 +720,7 @@ impl Response {
         Ok((resp, spans))
     }
 
-    fn decode_body(c: &mut Cursor, kind: u16, payload: &[u8]) -> Result<Self, FrameError> {
+    fn decode_body(c: &mut Cursor, kind: u16) -> Result<Self, FrameError> {
         Ok(match kind {
             KIND_R_HEALTH => Self::Health(HealthInfo {
                 shard_id: c.u32()?,
@@ -687,33 +734,19 @@ impl Response {
                 fallback: c.u8()? != 0,
             }),
             KIND_R_TOP_N => {
-                let count = c.u32()? as usize;
-                // Sanity-bound against the payload that actually arrived
-                // (12 bytes per entry) before allocating.
-                if count > payload.len() / 12 + 1 {
-                    return Err(FrameError::Malformed("top-n count exceeds payload"));
-                }
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let item = c.u32()?;
-                    let score = c.f64()?;
-                    items.push((item, score));
-                }
-                Self::TopN(items)
+                let count = c.u32()?.into();
+                Self::TopN(c.counted(count, 12, "top-n count exceeds payload", |c| {
+                    Ok((c.u32()?, c.f64()?))
+                })?)
             }
             KIND_R_PROFILE => {
                 let scale_min = c.f64()?;
                 let scale_max = c.f64()?;
                 let global_mean = c.f64()?;
                 let num_items = c.u64()?;
-                let n_users = c.u64()? as usize;
-                if n_users > payload.len() / 8 + 1 {
-                    return Err(FrameError::Malformed("profile count exceeds payload"));
-                }
-                let mut user_means = Vec::with_capacity(n_users);
-                for _ in 0..n_users {
-                    user_means.push(c.f64()?);
-                }
+                let n_users = c.u64()?;
+                let user_means =
+                    c.counted(n_users, 8, "profile count exceeds payload", Cursor::f64)?;
                 let generation = c.u64_or(0);
                 Self::Profile(WireProfile {
                     scale_min,
@@ -727,9 +760,6 @@ impl Response {
             KIND_R_ERROR => {
                 let code = c.u16()?;
                 let len = c.u32()? as usize;
-                if len > c.remaining() {
-                    return Err(FrameError::Malformed("error message exceeds payload"));
-                }
                 let bytes = c.take(len)?;
                 Self::Error {
                     code,
@@ -737,14 +767,10 @@ impl Response {
                 }
             }
             KIND_R_PREDICTIONS => {
-                let count = c.u32()? as usize;
-                // At least one flag byte per element must have arrived.
-                if count > payload.len() + 1 {
-                    return Err(FrameError::Malformed("predictions count exceeds payload"));
-                }
-                let mut preds = Vec::with_capacity(count);
-                for _ in 0..count {
-                    preds.push(if c.u8()? != 0 {
+                // Every element carries at least its flag byte.
+                let count = c.u32()?.into();
+                let preds = c.counted(count, 1, "predictions count exceeds payload", |c| {
+                    Ok(if c.u8()? != 0 {
                         Some(WirePrediction {
                             fused: c.f64()?,
                             level: c.u8()?,
@@ -752,17 +778,14 @@ impl Response {
                         })
                     } else {
                         None
-                    });
-                }
+                    })
+                })?;
                 Self::Predictions(preds)
             }
             KIND_R_STATS => {
                 let shard_id = c.u32()?;
                 let generation = c.u64()?;
                 let len = c.u32()? as usize;
-                if len > payload.len() {
-                    return Err(FrameError::Malformed("stats length exceeds payload"));
-                }
                 let snapshot = c.take(len)?.to_vec();
                 Self::Stats(WireStats {
                     shard_id,
@@ -966,7 +989,6 @@ pub fn read_response_with_spans(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use std::net::TcpListener;
@@ -1008,7 +1030,7 @@ mod tests {
             Request::Predict {
                 user: 7,
                 item: 42,
-                trace: Some(ctx),
+                trace: FrameTrace(Some(ctx)),
             },
             Request::recommend_top_n(3, 10, 100, u32::MAX),
             Request::RecommendTopN {
@@ -1016,16 +1038,16 @@ mod tests {
                 n: 10,
                 item_start: 100,
                 item_end: u32::MAX,
-                trace: Some(ctx),
+                trace: FrameTrace(Some(ctx)),
             },
             Request::predict_batch(vec![]),
             Request::PredictBatch {
                 pairs: vec![(0, 0), (7, 42), (u32::MAX, u32::MAX)],
-                trace: Some(TraceContext {
+                trace: FrameTrace(Some(TraceContext {
                     trace_id: 1,
                     parent_span: 0,
                     sampled: false,
-                }),
+                })),
             },
         ];
         for req in cases {
@@ -1049,7 +1071,7 @@ mod tests {
         match Request::decode(KIND_PREDICT, &payload).unwrap() {
             Request::Predict { user, item, trace } => {
                 assert_eq!((user, item), (7, 42));
-                assert_eq!(trace, None);
+                assert_eq!(trace, FrameTrace(None));
             }
             other => panic!("{other:?}"),
         }
@@ -1058,7 +1080,7 @@ mod tests {
         payload.push(1);
         payload.extend_from_slice(&[0xaa; 3]);
         match Request::decode(KIND_PREDICT, &payload).unwrap() {
-            Request::Predict { trace, .. } => assert_eq!(trace, None),
+            Request::Predict { trace, .. } => assert_eq!(trace, FrameTrace(None)),
             other => panic!("{other:?}"),
         }
     }
@@ -1314,7 +1336,7 @@ mod tests {
         let req = Request::Predict {
             user: 1,
             item: 2,
-            trace: None,
+            trace: FrameTrace(None),
         };
         let mut raw = Vec::new();
         raw.extend_from_slice(&MAGIC);
@@ -1435,5 +1457,106 @@ mod tests {
             read_request(&mut server, Duration::from_secs(1)),
             Err(FrameError::Truncated)
         ));
+    }
+
+    /// Where each length-prefixed kind keeps its count (byte offset,
+    /// width), so the fuzz below can plant a small, plausible count
+    /// instead of only ever drawing huge ones.
+    const COUNT_FIELDS: &[(u16, usize, usize)] = &[
+        (KIND_PREDICT_BATCH, 0, 4),
+        (KIND_R_TOP_N, 0, 4),
+        (KIND_R_PROFILE, 32, 8),
+        (KIND_R_ERROR, 2, 4),
+        (KIND_R_PREDICTIONS, 0, 4),
+        (KIND_R_STATS, 12, 4),
+    ];
+
+    const KINDS: &[u16] = &[
+        KIND_HEALTH,
+        KIND_PREDICT,
+        KIND_RECOMMEND,
+        KIND_PROFILE,
+        KIND_PREDICT_BATCH,
+        KIND_STATS,
+        KIND_R_HEALTH,
+        KIND_R_PREDICTION,
+        KIND_R_TOP_N,
+        KIND_R_PROFILE,
+        KIND_R_ERROR,
+        KIND_R_PREDICTIONS,
+        KIND_R_STATS,
+    ];
+
+    /// Capacities of the `Vec`s a decoded value owns.
+    fn capacities(req: Option<&Request>, resp: Option<&(Response, Vec<RemoteSpan>)>) -> Vec<usize> {
+        let mut caps = Vec::new();
+        if let Some(Request::PredictBatch { pairs, .. }) = req {
+            caps.push(pairs.capacity());
+        }
+        if let Some((resp, spans)) = resp {
+            caps.push(spans.capacity());
+            match resp {
+                Response::TopN(items) => caps.push(items.capacity()),
+                Response::Profile(p) => caps.push(p.user_means.capacity()),
+                Response::Predictions(preds) => caps.push(preds.capacity()),
+                Response::Stats(s) => caps.push(s.snapshot.capacity()),
+                _ => {}
+            }
+        }
+        caps
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The guard in front of every decoded sequence: a count whose
+        /// elements cannot fit in the bytes left is refused before the
+        /// first element is read, so before anything is allocated.
+        #[test]
+        fn counted_refuses_a_count_the_payload_cannot_hold(
+            bytes in proptest::collection::vec(0u8..=255, 0..64),
+            count in 0u64..80,
+            min_bytes in 1usize..13,
+        ) {
+            let mut calls = 0;
+            let got = Cursor::new(&bytes).counted(count, min_bytes, "count", |c| {
+                calls += 1;
+                c.take(min_bytes).map(|_| ())
+            });
+            let fits = count as usize * min_bytes <= bytes.len();
+            proptest::prop_assert_eq!(got.is_ok(), fits);
+            if !fits {
+                proptest::prop_assert_eq!(calls, 0);
+            }
+        }
+
+        /// Arbitrary payloads under every known kind: the decoders never
+        /// panic, and no decoded `Vec` holds more capacity than the
+        /// payload has bytes.
+        #[test]
+        fn decoders_never_allocate_past_the_payload(
+            bytes in proptest::collection::vec(0u8..=255, 0..257),
+            planted in proptest::option::of(0u64..64),
+        ) {
+            for &kind in KINDS {
+                let mut payload = bytes.clone();
+                if let (Some(count), Some(&(_, at, width))) =
+                    (planted, COUNT_FIELDS.iter().find(|f| f.0 == kind))
+                {
+                    if payload.len() >= at + width {
+                        payload[at..at + width].copy_from_slice(&count.to_le_bytes()[..width]);
+                    }
+                }
+                let req = Request::decode(kind, &payload).ok();
+                let resp = Response::decode_with_spans(kind, &payload).ok();
+                for cap in capacities(req.as_ref(), resp.as_ref()) {
+                    proptest::prop_assert!(
+                        cap <= payload.len(),
+                        "kind {kind}: capacity {cap} over a {}-byte payload",
+                        payload.len()
+                    );
+                }
+            }
+        }
     }
 }

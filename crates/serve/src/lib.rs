@@ -22,7 +22,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod client;
 pub mod fleet;

@@ -60,7 +60,10 @@ pub(crate) enum ConnAction {
     /// Answer written; keep the connection for the next frame.
     Continue,
     /// Close the connection (injected fault or handler decision).
-    #[cfg_attr(not(feature = "faultinject"), allow(dead_code))]
+    #[cfg_attr(
+        not(feature = "faultinject"),
+        allow(dead_code, reason = "only injected faults close a connection")
+    )]
     Close,
 }
 

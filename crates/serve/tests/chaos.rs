@@ -12,7 +12,10 @@
 //! disarm everything on entry.
 
 #![cfg(feature = "faultinject")]
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "fixtures fit the concrete model, then serve it through a ModelHandle"
+)]
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;

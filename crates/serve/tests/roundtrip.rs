@@ -3,7 +3,10 @@
 //! same loaded model, so every remote answer can be compared bit-for-bit
 //! with the in-process API.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "fixtures fit the concrete model, then serve it through a ModelHandle"
+)]
 
 use std::sync::Arc;
 use std::time::Duration;

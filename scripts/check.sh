@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+# Clippy also enforces the serving-path rules: the crate roots of
+# cf-obs, cfsf-core and cf-serve warn (denied here) on panicking calls and
+# allow attributes without a reason, and their clippy.toml files disallow the
+# bare std Mutex, unreviewed hot-path clock reads and naming the
+# concrete model outside cf-serve's live.rs.
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -16,12 +21,11 @@ cargo build --release --offline
 echo "==> tier-1: cargo test"
 cargo test --workspace -q --offline
 
-# Analysis gate: the repo lint engine (panic-free serving path, hot-path
-# clock gating, float-eq, bare sync primitives, counter pairing, unwind
-# captures, bounded frame-decode allocations) plus the loom-lite model
-# checker running every built-in model exhaustively — including the
-# seeded-race fixture the happens-before detector must catch. Zero
-# unsuppressed diagnostics, no stale allowlist entries, and all models
+# Analysis gate: the repo lint engine (float-eq, counter pairing, unwind
+# captures — the rules no compiler lint expresses; the clippy pass above
+# enforces the rest) plus the loom-lite model checker running every
+# built-in model exhaustively — including the seeded-race fixture the
+# happens-before detector must catch. Zero diagnostics and all models
 # green, or the gate fails. The machine-readable report lands at
 # target/analyze.json; under CI ($CI set) findings are also emitted as
 # GitHub ::error annotations pinned to file/line.
