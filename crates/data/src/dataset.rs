@@ -38,7 +38,6 @@ impl Dataset {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use cf_matrix::{ItemId, MatrixBuilder, UserId};

@@ -19,6 +19,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 mod crossval;
 mod dataset;

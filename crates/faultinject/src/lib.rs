@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -349,7 +350,6 @@ impl Drop for ChildGuard {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

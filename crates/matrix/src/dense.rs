@@ -115,7 +115,6 @@ impl DenseRatings {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::MatrixBuilder;

@@ -212,7 +212,6 @@ impl RatingMatrix {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::MatrixBuilder;

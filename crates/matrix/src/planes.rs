@@ -606,7 +606,6 @@ fn build_cells<C: QuantCell>(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

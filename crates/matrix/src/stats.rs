@@ -118,7 +118,6 @@ impl std::fmt::Display for MatrixStats {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::{ItemId, MatrixBuilder, UserId};

@@ -70,7 +70,7 @@ impl ShardClient {
         req: &Request,
     ) -> Result<(Response, Vec<cf_obs::trace::RemoteSpan>), FrameError> {
         frame::write_request(&mut self.stream, req)?;
-        frame::read_response_with_spans(
+        frame::read_response(
             &mut self.stream,
             self.opts.request_deadline,
             Instant::now() + self.opts.request_deadline,

@@ -1,6 +1,7 @@
 //! The CFSF wire protocol: length-framed, versioned, checksummed binary
-//! frames over TCP — the persistence format's style, but per message
-//! instead of per file section.
+//! frames over TCP (or any other `Read`/`Write` byte stream) — the
+//! persistence format's style, but per message instead of per file
+//! section.
 //!
 //! Frame layout (everything little-endian):
 //!
@@ -25,8 +26,8 @@
 //! served through a shard is bit-for-bit the prediction the same model
 //! serves in process.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::borrow::Cow;
+use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
 
 use cf_obs::trace::{RemoteSpan, TraceContext, REMOTE_SPANS_CAP};
@@ -70,7 +71,7 @@ const KIND_R_STATS: u16 = 22;
 #[derive(Debug)]
 pub enum FrameError {
     /// Underlying socket failure (including timeouts mid-frame).
-    Io(std::io::Error),
+    Io(io::Error),
     /// The stream does not start with [`MAGIC`] — not a CFSF peer, or a
     /// desynced one.
     BadMagic([u8; 4]),
@@ -116,8 +117,8 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-impl From<std::io::Error> for FrameError {
-    fn from(e: std::io::Error) -> Self {
+impl From<io::Error> for FrameError {
+    fn from(e: io::Error) -> Self {
         Self::Io(e)
     }
 }
@@ -376,38 +377,6 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f64(&mut self) -> Result<f64, FrameError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `u64` appended after the original payload fields — the
-    /// append-only evolution rule: a short payload (old peer) decodes as
-    /// `default` instead of failing.
-    fn u64_or(&mut self, default: u64) -> u64 {
-        self.u64().unwrap_or(default)
-    }
-
     /// Bytes left between the read position and the end of the payload —
     /// the tightest bound any decoded length can honestly claim.
     fn remaining(&self) -> usize {
@@ -440,17 +409,171 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+// --- payload layouts ---------------------------------------------------
+
+/// One value's wire layout, written once: `put` appends the value, `take`
+/// reads it back. `MIN_BYTES` is the fewest bytes any encoding of the
+/// value occupies — what lets [`Cursor::counted`] refuse a sequence
+/// count before it allocates.
+trait Wire: Sized {
+    const MIN_BYTES: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(c: &mut Cursor) -> Result<Self, FrameError>;
 }
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn take(c: &mut Cursor) -> Result<Self, FrameError> {
+                let mut b = [0u8; std::mem::size_of::<$t>()];
+                b.copy_from_slice(c.take(std::mem::size_of::<$t>())?);
+                Ok(<$t>::from_le_bytes(b))
+            }
+        }
+    )*};
 }
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+wire_le!(u8, u16, u32, u64);
+
+/// `f64::to_bits`, so every bit pattern (`NaN` payloads included)
+/// survives the wire.
+impl Wire for f64 {
+    const MIN_BYTES: usize = u64::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+    fn take(c: &mut Cursor) -> Result<Self, FrameError> {
+        u64::take(c).map(f64::from_bits)
+    }
 }
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
+
+/// One byte; any non-zero byte reads as `true`.
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn take(c: &mut Cursor) -> Result<Self, FrameError> {
+        Ok(u8::take(c)? != 0)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn take(c: &mut Cursor) -> Result<Self, FrameError> {
+        Ok((A::take(c)?, B::take(c)?))
+    }
+}
+
+/// A flag byte, then the value when the flag is set.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(v) = self {
+            v.put(out);
+        }
+    }
+    fn take(c: &mut Cursor) -> Result<Self, FrameError> {
+        bool::take(c)?.then(|| T::take(c)).transpose()
+    }
+}
+
+/// A `u32` count, then the elements.
+fn put_seq<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+    (items.len() as u32).put(out);
+    for v in items {
+        v.put(out);
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(self, out);
+    }
+    fn take(c: &mut Cursor) -> Result<Self, FrameError> {
+        let count = u32::take(c)?;
+        c.counted(count.into(), T::MIN_BYTES, "count exceeds payload", T::take)
+    }
+}
+
+/// The bytes as a sequence; invalid UTF-8 decodes lossily.
+impl Wire for String {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(self.as_bytes(), out);
+    }
+    fn take(c: &mut Cursor) -> Result<Self, FrameError> {
+        Ok(String::from_utf8_lossy(&Vec::<u8>::take(c)?).into_owned())
+    }
+}
+
+/// Implements [`Wire`] for a struct as the listed fields in order. The
+/// optional field after `;` was appended after the first release, so it
+/// is read leniently: a short payload (an older peer) decodes it as the
+/// default instead of failing — the append-only evolution rule.
+macro_rules! wire_struct {
+    ($t:ty { $($f:ident: $ft:ty),+ $(; $tail:ident: $tail_t:ty)? }) => {
+        impl Wire for $t {
+            const MIN_BYTES: usize = 0 $(+ <$ft>::MIN_BYTES)+;
+            fn put(&self, out: &mut Vec<u8>) {
+                $(<$ft as Wire>::put(&self.$f, out);)+
+                $(<$tail_t as Wire>::put(&self.$tail, out);)?
+            }
+            fn take(c: &mut Cursor) -> Result<Self, FrameError> {
+                Ok(Self {
+                    $($f: <$ft>::take(c)?,)+
+                    $($tail: <$tail_t>::take(c).unwrap_or_default(),)?
+                })
+            }
+        }
+    };
+}
+
+wire_struct!(HealthInfo { shard_id: u32, num_users: u64, num_items: u64; generation: u64 });
+wire_struct!(WirePrediction {
+    fused: f64,
+    level: u8,
+    fallback: bool
+});
+wire_struct!(WireStats { shard_id: u32, generation: u64, snapshot: Vec<u8> });
+
+/// The one sequence with a `u64` count, then a lenient trailing
+/// `generation` (see [`wire_struct`]).
+impl Wire for WireProfile {
+    const MIN_BYTES: usize = 3 * f64::MIN_BYTES + 2 * u64::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.scale_min.put(out);
+        self.scale_max.put(out);
+        self.global_mean.put(out);
+        self.num_items.put(out);
+        (self.user_means.len() as u64).put(out);
+        for m in &self.user_means {
+            m.put(out);
+        }
+        self.generation.put(out);
+    }
+    fn take(c: &mut Cursor) -> Result<Self, FrameError> {
+        Ok(Self {
+            scale_min: Wire::take(c)?,
+            scale_max: Wire::take(c)?,
+            global_mean: Wire::take(c)?,
+            num_items: Wire::take(c)?,
+            user_means: {
+                let count = u64::take(c)?;
+                c.counted(count, f64::MIN_BYTES, "count exceeds payload", f64::take)?
+            },
+            generation: u64::take(c).unwrap_or_default(),
+        })
+    }
 }
 
 // --- trailing telemetry blobs ------------------------------------------
@@ -463,79 +586,75 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
 // "no context" / "no spans", never as a frame error, because telemetry
 // must not be able to fail serving.
 
-/// Appends `ctx` after the request's original payload fields.
-fn put_trace_context(out: &mut Vec<u8>, trace: &FrameTrace) {
-    if let Some(ctx) = trace.0 {
-        out.push(1);
-        put_u64(out, ctx.trace_id);
-        put_u32(out, ctx.parent_span);
-        out.push(u8::from(ctx.sampled));
+wire_struct!(TraceContext {
+    trace_id: u64,
+    parent_span: u32,
+    sampled: bool
+});
+
+/// A flag byte of exactly `1` and the context, or — for `None` — nothing
+/// at all, so an untraced frame is byte-identical to one from a build
+/// predating trace propagation. Anything short, absent or flagged
+/// otherwise decodes as no context.
+impl Wire for FrameTrace {
+    const MIN_BYTES: usize = 0;
+    fn put(&self, out: &mut Vec<u8>) {
+        if let Some(ctx) = self.0 {
+            1u8.put(out);
+            ctx.put(out);
+        }
     }
-    // `None` appends nothing: the frame is byte-identical to one from a
-    // build predating trace propagation.
+    fn take(c: &mut Cursor) -> Result<Self, FrameError> {
+        Ok(Self(match u8::take(c) {
+            Ok(1) => TraceContext::take(c).ok(),
+            _ => None,
+        }))
+    }
 }
 
-/// Leniently reads a trailing trace context; anything short, absent or
-/// unrecognized is `None`.
-fn take_trace_context(c: &mut Cursor) -> Option<TraceContext> {
-    if c.u8().ok()? != 1 {
-        return None;
-    }
-    let trace_id = c.u64().ok()?;
-    let parent_span = c.u32().ok()?;
-    let sampled = c.u8().ok()? != 0;
-    Some(TraceContext {
-        trace_id,
-        parent_span,
-        sampled,
-    })
-}
-
-/// Appends completed remote spans after a response's original payload.
-fn put_spans(out: &mut Vec<u8>, spans: &[RemoteSpan]) {
-    if spans.is_empty() {
-        return;
-    }
-    let n = spans.len().min(REMOTE_SPANS_CAP);
-    put_u32(out, n as u32);
-    for span in &spans[..n] {
-        let name = span.name.as_bytes();
+/// `origin` is not on the wire — the receiver knows which shard it
+/// asked. Names longer than a `u16` length are cut.
+impl Wire for RemoteSpan {
+    const MIN_BYTES: usize = u16::MIN_BYTES + 2 * u64::MIN_BYTES + u8::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        let name = self.name.as_bytes();
         let len = name.len().min(u16::MAX as usize);
-        put_u16(out, len as u16);
+        (len as u16).put(out);
         out.extend_from_slice(&name[..len]);
-        put_u64(out, span.start_ns);
-        put_u64(out, span.dur_ns);
-        out.push(span.depth);
+        self.start_ns.put(out);
+        self.dur_ns.put(out);
+        self.depth.put(out);
+    }
+    fn take(c: &mut Cursor) -> Result<Self, FrameError> {
+        let len = u16::take(c)?;
+        Ok(Self {
+            origin: String::new(),
+            name: String::from_utf8_lossy(c.take(len.into())?).into_owned(),
+            start_ns: Wire::take(c)?,
+            dur_ns: Wire::take(c)?,
+            depth: Wire::take(c)?,
+        })
     }
 }
 
-/// Leniently reads trailing remote spans; a short or garbled tail yields
-/// the spans decoded so far (possibly none). `origin` is not on the wire
-/// — the receiver knows which shard it asked.
-fn take_spans(c: &mut Cursor) -> Vec<RemoteSpan> {
-    let Ok(count) = c.u32() else {
-        return Vec::new();
-    };
-    let mut spans = Vec::new();
-    for _ in 0..count.min(REMOTE_SPANS_CAP as u32) {
-        let Ok(len) = c.u16() else { break };
-        let len = (len as usize).min(c.remaining());
-        let Ok(name) = c.take(len) else {
-            break;
-        };
-        let name = String::from_utf8_lossy(name).into_owned();
-        let (Ok(start_ns), Ok(dur_ns), Ok(depth)) = (c.u64(), c.u64(), c.u8()) else {
-            break;
-        };
-        spans.push(RemoteSpan {
-            origin: String::new(),
-            name,
-            start_ns,
-            dur_ns,
-            depth,
-        });
+/// The span blob: a sequence of at most [`REMOTE_SPANS_CAP`] spans, or
+/// nothing when there are none. A short or garbled tail keeps the spans
+/// that decoded cleanly.
+struct SpanTail<'a>(Cow<'a, [RemoteSpan]>);
+
+impl Wire for SpanTail<'_> {
+    const MIN_BYTES: usize = 0;
+    fn put(&self, out: &mut Vec<u8>) {
+        let spans = &self.0[..self.0.len().min(REMOTE_SPANS_CAP)];
+        if !spans.is_empty() {
+            put_seq(spans, out);
+        }
     }
-    spans
+    fn take(c: &mut Cursor) -> Result<Self, FrameError> {
+        let count = u32::take(c).unwrap_or(0).min(REMOTE_SPANS_CAP as u32);
+        let spans = (0..count).map_while(|_| RemoteSpan::take(c).ok());
+        Ok(Self(Cow::Owned(spans.collect())))
+    }
 }
 
 /// Response kinds that may carry a trailing remote-span blob. Profile is
@@ -545,7 +664,7 @@ fn span_capable(kind: u16) -> bool {
     matches!(kind, KIND_R_PREDICTION | KIND_R_TOP_N | KIND_R_PREDICTIONS)
 }
 
-// --- encode ------------------------------------------------------------
+// --- messages ----------------------------------------------------------
 
 impl Request {
     fn kind(&self) -> u16 {
@@ -559,14 +678,13 @@ impl Request {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn put_payload(&self, out: &mut Vec<u8>) {
         match self {
             Self::Health | Self::Profile | Self::Stats => {}
             Self::Predict { user, item, trace } => {
-                put_u32(&mut out, *user);
-                put_u32(&mut out, *item);
-                put_trace_context(&mut out, trace);
+                user.put(out);
+                item.put(out);
+                trace.put(out);
             }
             Self::RecommendTopN {
                 user,
@@ -575,52 +693,41 @@ impl Request {
                 item_end,
                 trace,
             } => {
-                put_u32(&mut out, *user);
-                put_u32(&mut out, *n);
-                put_u32(&mut out, *item_start);
-                put_u32(&mut out, *item_end);
-                put_trace_context(&mut out, trace);
+                user.put(out);
+                n.put(out);
+                item_start.put(out);
+                item_end.put(out);
+                trace.put(out);
             }
             Self::PredictBatch { pairs, trace } => {
-                put_u32(&mut out, pairs.len() as u32);
-                for &(user, item) in pairs {
-                    put_u32(&mut out, user);
-                    put_u32(&mut out, item);
-                }
-                put_trace_context(&mut out, trace);
+                pairs.put(out);
+                trace.put(out);
             }
         }
-        out
     }
 
     fn decode(kind: u16, payload: &[u8]) -> Result<Self, FrameError> {
-        let mut c = Cursor::new(payload);
+        let c = &mut Cursor::new(payload);
         Ok(match kind {
             KIND_HEALTH => Self::Health,
             KIND_PROFILE => Self::Profile,
             KIND_STATS => Self::Stats,
             KIND_PREDICT => Self::Predict {
-                user: c.u32()?,
-                item: c.u32()?,
-                trace: FrameTrace(take_trace_context(&mut c)),
+                user: Wire::take(c)?,
+                item: Wire::take(c)?,
+                trace: Wire::take(c)?,
             },
             KIND_RECOMMEND => Self::RecommendTopN {
-                user: c.u32()?,
-                n: c.u32()?,
-                item_start: c.u32()?,
-                item_end: c.u32()?,
-                trace: FrameTrace(take_trace_context(&mut c)),
+                user: Wire::take(c)?,
+                n: Wire::take(c)?,
+                item_start: Wire::take(c)?,
+                item_end: Wire::take(c)?,
+                trace: Wire::take(c)?,
             },
-            KIND_PREDICT_BATCH => {
-                let count = c.u32()?.into();
-                let pairs = c.counted(count, 8, "batch count exceeds payload", |c| {
-                    Ok((c.u32()?, c.u32()?))
-                })?;
-                Self::PredictBatch {
-                    pairs,
-                    trace: FrameTrace(take_trace_context(&mut c)),
-                }
-            }
+            KIND_PREDICT_BATCH => Self::PredictBatch {
+                pairs: Wire::take(c)?,
+                trace: Wire::take(c)?,
+            },
             other => return Err(FrameError::UnknownKind(other)),
         })
     }
@@ -639,211 +746,91 @@ impl Response {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn put_payload(&self, out: &mut Vec<u8>) {
         match self {
-            Self::Health(h) => {
-                put_u32(&mut out, h.shard_id);
-                put_u64(&mut out, h.num_users);
-                put_u64(&mut out, h.num_items);
-                put_u64(&mut out, h.generation);
-            }
-            Self::Prediction(p) => {
-                put_f64(&mut out, p.fused);
-                out.push(p.level);
-                out.push(u8::from(p.fallback));
-            }
-            Self::TopN(items) => {
-                put_u32(&mut out, items.len() as u32);
-                for &(item, score) in items {
-                    put_u32(&mut out, item);
-                    put_f64(&mut out, score);
-                }
-            }
-            Self::Profile(p) => {
-                put_f64(&mut out, p.scale_min);
-                put_f64(&mut out, p.scale_max);
-                put_f64(&mut out, p.global_mean);
-                put_u64(&mut out, p.num_items);
-                put_u64(&mut out, p.user_means.len() as u64);
-                for &m in &p.user_means {
-                    put_f64(&mut out, m);
-                }
-                put_u64(&mut out, p.generation);
-            }
+            Self::Health(h) => h.put(out),
+            Self::Prediction(p) => p.put(out),
+            Self::TopN(items) => items.put(out),
+            Self::Profile(p) => p.put(out),
             Self::Error { code, message } => {
-                put_u16(&mut out, *code);
-                let msg = message.as_bytes();
-                put_u32(&mut out, msg.len() as u32);
-                out.extend_from_slice(msg);
+                code.put(out);
+                message.put(out);
             }
-            Self::Predictions(preds) => {
-                put_u32(&mut out, preds.len() as u32);
-                for p in preds {
-                    match p {
-                        Some(p) => {
-                            out.push(1);
-                            put_f64(&mut out, p.fused);
-                            out.push(p.level);
-                            out.push(u8::from(p.fallback));
-                        }
-                        None => out.push(0),
-                    }
-                }
-            }
-            Self::Stats(s) => {
-                put_u32(&mut out, s.shard_id);
-                put_u64(&mut out, s.generation);
-                put_u32(&mut out, s.snapshot.len() as u32);
-                out.extend_from_slice(&s.snapshot);
-            }
+            Self::Predictions(preds) => preds.put(out),
+            Self::Stats(s) => s.put(out),
         }
-        out
     }
 
-    #[cfg(test)]
-    fn decode(kind: u16, payload: &[u8]) -> Result<Self, FrameError> {
-        Ok(Self::decode_with_spans(kind, payload)?.0)
-    }
-
-    /// [`Response::decode`] plus any trailing remote-span blob the
-    /// responder appended (always empty for kinds that cannot carry
-    /// one).
+    /// Decodes a response payload plus any trailing remote-span blob the
+    /// responder appended (always empty for kinds that cannot carry one).
     fn decode_with_spans(kind: u16, payload: &[u8]) -> Result<(Self, Vec<RemoteSpan>), FrameError> {
-        let mut c = Cursor::new(payload);
-        let resp = Self::decode_body(&mut c, kind)?;
+        let c = &mut Cursor::new(payload);
+        let resp = match kind {
+            KIND_R_HEALTH => Self::Health(Wire::take(c)?),
+            KIND_R_PREDICTION => Self::Prediction(Wire::take(c)?),
+            KIND_R_TOP_N => Self::TopN(Wire::take(c)?),
+            KIND_R_PROFILE => Self::Profile(Wire::take(c)?),
+            KIND_R_ERROR => Self::Error {
+                code: Wire::take(c)?,
+                message: Wire::take(c)?,
+            },
+            KIND_R_PREDICTIONS => Self::Predictions(Wire::take(c)?),
+            KIND_R_STATS => Self::Stats(Wire::take(c)?),
+            other => return Err(FrameError::UnknownKind(other)),
+        };
         let spans = if span_capable(kind) {
-            take_spans(&mut c)
+            SpanTail::take(c)?.0.into_owned()
         } else {
             Vec::new()
         };
         Ok((resp, spans))
     }
-
-    fn decode_body(c: &mut Cursor, kind: u16) -> Result<Self, FrameError> {
-        Ok(match kind {
-            KIND_R_HEALTH => Self::Health(HealthInfo {
-                shard_id: c.u32()?,
-                num_users: c.u64()?,
-                num_items: c.u64()?,
-                generation: c.u64_or(0),
-            }),
-            KIND_R_PREDICTION => Self::Prediction(WirePrediction {
-                fused: c.f64()?,
-                level: c.u8()?,
-                fallback: c.u8()? != 0,
-            }),
-            KIND_R_TOP_N => {
-                let count = c.u32()?.into();
-                Self::TopN(c.counted(count, 12, "top-n count exceeds payload", |c| {
-                    Ok((c.u32()?, c.f64()?))
-                })?)
-            }
-            KIND_R_PROFILE => {
-                let scale_min = c.f64()?;
-                let scale_max = c.f64()?;
-                let global_mean = c.f64()?;
-                let num_items = c.u64()?;
-                let n_users = c.u64()?;
-                let user_means =
-                    c.counted(n_users, 8, "profile count exceeds payload", Cursor::f64)?;
-                let generation = c.u64_or(0);
-                Self::Profile(WireProfile {
-                    scale_min,
-                    scale_max,
-                    global_mean,
-                    num_items,
-                    user_means,
-                    generation,
-                })
-            }
-            KIND_R_ERROR => {
-                let code = c.u16()?;
-                let len = c.u32()? as usize;
-                let bytes = c.take(len)?;
-                Self::Error {
-                    code,
-                    message: String::from_utf8_lossy(bytes).into_owned(),
-                }
-            }
-            KIND_R_PREDICTIONS => {
-                // Every element carries at least its flag byte.
-                let count = c.u32()?.into();
-                let preds = c.counted(count, 1, "predictions count exceeds payload", |c| {
-                    Ok(if c.u8()? != 0 {
-                        Some(WirePrediction {
-                            fused: c.f64()?,
-                            level: c.u8()?,
-                            fallback: c.u8()? != 0,
-                        })
-                    } else {
-                        None
-                    })
-                })?;
-                Self::Predictions(preds)
-            }
-            KIND_R_STATS => {
-                let shard_id = c.u32()?;
-                let generation = c.u64()?;
-                let len = c.u32()? as usize;
-                let snapshot = c.take(len)?.to_vec();
-                Self::Stats(WireStats {
-                    shard_id,
-                    generation,
-                    snapshot,
-                })
-            }
-            other => return Err(FrameError::UnknownKind(other)),
-        })
-    }
 }
 
 // --- wire i/o ----------------------------------------------------------
 
-fn write_frame(stream: &mut TcpStream, kind: u16, payload: &[u8]) -> std::io::Result<()> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
+/// Writes one frame, built in one buffer: the header with a zero length,
+/// the payload `body` encodes in place, then the patched length and the
+/// CRC.
+fn write_frame(w: &mut impl Write, kind: u16, body: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    // Room for any point request or answer without regrowing.
+    let mut out = Vec::with_capacity(HEADER_LEN + 64);
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&cfsf_core::crc32(payload).to_le_bytes());
+    VERSION.put(&mut out);
+    kind.put(&mut out);
+    0u32.put(&mut out);
+    body(&mut out);
+    let len = (out.len() - HEADER_LEN) as u32;
+    out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    cfsf_core::crc32(&out[HEADER_LEN..]).put(&mut out);
     // One write_all for the whole frame: no interleaving torn frames when
     // several router threads share a pool connection sequentially.
-    stream.write_all(&out)?;
-    stream.flush()
+    w.write_all(&out)?;
+    w.flush()
 }
 
 /// Writes `req` as one frame.
-pub fn write_request(stream: &mut TcpStream, req: &Request) -> std::io::Result<()> {
-    write_frame(stream, req.kind(), &req.payload())
+pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
+    write_frame(w, req.kind(), |out| req.put_payload(out))
 }
 
-/// Writes `resp` as one frame.
-pub fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    write_frame(stream, resp.kind(), &resp.payload())
-}
-
-/// Writes `resp` with the responder's completed remote spans appended as
-/// trailing payload (only on kinds that can carry them — spans for any
-/// other kind are dropped, since e.g. an error frame's caller is not
-/// stitching a trace).
-pub fn write_response_with_spans(
-    stream: &mut TcpStream,
-    resp: &Response,
-    spans: &[RemoteSpan],
-) -> std::io::Result<()> {
-    let mut payload = resp.payload();
-    if span_capable(resp.kind()) {
-        put_spans(&mut payload, spans);
-    }
-    write_frame(stream, resp.kind(), &payload)
+/// Writes `resp` as one frame, with the responder's completed remote
+/// spans appended as trailing payload — only on kinds that can carry
+/// them. Spans for any other kind are dropped, since e.g. an error
+/// frame's caller is not stitching a trace.
+pub fn write_response(w: &mut impl Write, resp: &Response, spans: &[RemoteSpan]) -> io::Result<()> {
+    write_frame(w, resp.kind(), |out| {
+        resp.put_payload(out);
+        if span_capable(resp.kind()) {
+            SpanTail(Cow::Borrowed(spans)).put(out);
+        }
+    })
 }
 
 /// How one `fill` call ended.
 enum Fill {
     Done,
-    /// Zero bytes arrived before the socket timeout (only reported when
+    /// Zero bytes arrived before the read timeout (only reported when
     /// `idle_ok`).
     Idle,
     /// Clean EOF before the first byte (only when `idle_ok`).
@@ -855,14 +842,14 @@ enum Fill {
 /// error; once any byte has arrived the frame is in flight and must
 /// complete before `deadline`.
 fn fill(
-    stream: &mut TcpStream,
+    r: &mut impl Read,
     buf: &mut [u8],
     idle_ok: bool,
     deadline: Instant,
 ) -> Result<Fill, FrameError> {
     let mut got = 0usize;
     while got < buf.len() {
-        match stream.read(&mut buf[got..]) {
+        match r.read(&mut buf[got..]) {
             Ok(0) => {
                 return if got == 0 && idle_ok {
                     Ok(Fill::Eof)
@@ -876,60 +863,58 @@ fn fill(
                     return Ok(Fill::Idle);
                 }
                 if Instant::now() >= deadline {
-                    return Err(FrameError::Io(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
+                    return Err(FrameError::Io(io::Error::new(
+                        io::ErrorKind::TimedOut,
                         "frame did not complete before the deadline",
                     )));
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
     Ok(Fill::Done)
 }
 
-/// Reads one frame from a stream whose read timeout is already armed
-/// (see [`cf_obs::net::harden`]). A timeout before the first byte is
-/// [`ReadOutcome::Idle`] — the caller's loop polls its stop flag and
-/// calls again; a timeout mid-frame is an error once `frame_deadline`
-/// (measured from the first header byte) has passed.
+/// Reads one frame from a reader whose read timeout, if it has one, is
+/// already armed (see [`cf_obs::net::harden`]). A timeout before the
+/// first byte is [`ReadOutcome::Idle`] — the caller's loop polls its stop
+/// flag and calls again; a timeout mid-frame is an error once
+/// `frame_deadline` (measured from the first header byte) has passed.
 pub fn read_frame(
-    stream: &mut TcpStream,
+    r: &mut impl Read,
     frame_deadline: Duration,
 ) -> Result<ReadOutcome<(u16, Vec<u8>)>, FrameError> {
     let mut header = [0u8; HEADER_LEN];
     // Arm a generous provisional deadline for the idle wait; the real
     // per-frame deadline starts once the first byte has arrived.
-    match fill(stream, &mut header, true, Instant::now() + frame_deadline)? {
+    match fill(r, &mut header, true, Instant::now() + frame_deadline)? {
         Fill::Idle => return Ok(ReadOutcome::Idle),
         Fill::Eof => return Ok(ReadOutcome::Eof),
         Fill::Done => {}
     }
     let deadline = Instant::now() + frame_deadline;
-    if header[..4] != MAGIC {
-        return Err(FrameError::BadMagic([
-            header[0], header[1], header[2], header[3],
-        ]));
+    let [m0, m1, m2, m3, ..] = header;
+    if [m0, m1, m2, m3] != MAGIC {
+        return Err(FrameError::BadMagic([m0, m1, m2, m3]));
     }
-    let version = u16::from_le_bytes([header[4], header[5]]);
+    let c = &mut Cursor::new(&header[MAGIC.len()..]);
+    let version = u16::take(c)?;
     if version != VERSION {
         return Err(FrameError::BadVersion(version));
     }
-    let kind = u16::from_le_bytes([header[6], header[7]]);
-    let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
+    let kind = u16::take(c)?;
+    let len = u32::take(c)?;
     if len as usize > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge(len));
     }
     let mut payload = vec![0u8; len as usize];
-    match fill(stream, &mut payload, false, deadline)? {
-        Fill::Done => {}
-        Fill::Idle | Fill::Eof => return Err(FrameError::Truncated),
-    }
     let mut crc = [0u8; 4];
-    match fill(stream, &mut crc, false, deadline)? {
-        Fill::Done => {}
-        Fill::Idle | Fill::Eof => return Err(FrameError::Truncated),
+    for buf in [&mut payload[..], &mut crc[..]] {
+        match fill(r, buf, false, deadline)? {
+            Fill::Done => {}
+            Fill::Idle | Fill::Eof => return Err(FrameError::Truncated),
+        }
     }
     let expected = u32::from_le_bytes(crc);
     let actual = cfsf_core::crc32(&payload);
@@ -939,47 +924,38 @@ pub fn read_frame(
     Ok(ReadOutcome::Frame((kind, payload)))
 }
 
-/// [`read_frame`] + [`Request::decode`].
+/// [`read_frame`] + request decoding.
 pub fn read_request(
-    stream: &mut TcpStream,
+    r: &mut impl Read,
     frame_deadline: Duration,
 ) -> Result<ReadOutcome<Request>, FrameError> {
-    Ok(match read_frame(stream, frame_deadline)? {
+    Ok(match read_frame(r, frame_deadline)? {
         ReadOutcome::Frame((kind, payload)) => ReadOutcome::Frame(Request::decode(kind, &payload)?),
         ReadOutcome::Idle => ReadOutcome::Idle,
         ReadOutcome::Eof => ReadOutcome::Eof,
     })
 }
 
-/// [`read_frame`] + [`Response::decode`], retrying idle ticks until
+/// [`read_frame`] + response decoding, retrying idle ticks until
 /// `overall_deadline` — a client waiting for its answer treats "no bytes
-/// yet" as waiting, not as an idle connection.
-pub fn read_response(
-    stream: &mut TcpStream,
-    frame_deadline: Duration,
-    overall_deadline: Instant,
-) -> Result<Response, FrameError> {
-    Ok(read_response_with_spans(stream, frame_deadline, overall_deadline)?.0)
-}
-
-/// [`read_response`] that also surfaces any remote spans the responder
-/// appended — the router's path for stitching shard spans into its own
+/// yet" as waiting, not as an idle connection. Also returns any remote
+/// spans the responder appended, for the router to stitch into its own
 /// trace.
-pub fn read_response_with_spans(
-    stream: &mut TcpStream,
+pub fn read_response(
+    r: &mut impl Read,
     frame_deadline: Duration,
     overall_deadline: Instant,
 ) -> Result<(Response, Vec<RemoteSpan>), FrameError> {
     loop {
-        match read_frame(stream, frame_deadline)? {
+        match read_frame(r, frame_deadline)? {
             ReadOutcome::Frame((kind, payload)) => {
                 return Response::decode_with_spans(kind, &payload)
             }
             ReadOutcome::Eof => return Err(FrameError::Truncated),
             ReadOutcome::Idle => {
                 if Instant::now() >= overall_deadline {
-                    return Err(FrameError::Io(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
+                    return Err(FrameError::Io(io::Error::new(
+                        io::ErrorKind::TimedOut,
                         "no response before the deadline",
                     )));
                 }
@@ -991,8 +967,13 @@ pub fn read_response_with_spans(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use proptest::strategy::Strategy;
+    use std::net::{TcpListener, TcpStream};
 
+    const SEC: Duration = Duration::from_secs(1);
+
+    /// A connected, hardened socket pair — only for what needs a real
+    /// read timeout; every other codec test runs over in-memory buffers.
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1004,59 +985,139 @@ mod tests {
         (client, server)
     }
 
+    /// Encodes `req` as one whole frame.
+    fn request_frame(req: &Request) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_request(&mut out, req).unwrap();
+        out
+    }
+
+    /// Encodes `resp` (with `spans` appended where the kind allows) as one
+    /// whole frame.
+    fn response_frame(resp: &Response, spans: &[RemoteSpan]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_response(&mut out, resp, spans).unwrap();
+        out
+    }
+
+    fn read_request_from(mut bytes: &[u8]) -> Result<ReadOutcome<Request>, FrameError> {
+        read_request(&mut bytes, SEC)
+    }
+
+    fn decode_request_frame(bytes: &[u8]) -> Request {
+        match read_request_from(bytes).unwrap() {
+            ReadOutcome::Frame(req) => req,
+            other => panic!("expected a frame, got {other:?}"),
+        }
+    }
+
+    fn decode_response_frame(mut bytes: &[u8]) -> (Response, Vec<RemoteSpan>) {
+        read_response(&mut bytes, SEC, Instant::now() + SEC).unwrap()
+    }
+
     fn roundtrip_response(resp: &Response) -> Response {
-        let (mut client, mut server) = pair();
-        write_response(&mut client, resp).unwrap();
-        read_response(
-            &mut server,
-            Duration::from_secs(1),
-            Instant::now() + Duration::from_secs(1),
-        )
-        .unwrap()
+        decode_response_frame(&response_frame(resp, &[])).0
+    }
+
+    /// A frame with the given version and kind around `payload`, with a
+    /// correct length and CRC.
+    fn raw_frame(version: u16, kind: u16, payload: &[u8]) -> Vec<u8> {
+        let mut raw = MAGIC.to_vec();
+        version.put(&mut raw);
+        kind.put(&mut raw);
+        (payload.len() as u32).put(&mut raw);
+        raw.extend_from_slice(payload);
+        cfsf_core::crc32(payload).put(&mut raw);
+        raw
+    }
+
+    /// Every float a response carries, as bits: `PartialEq` cannot see
+    /// through `NaN`, and `Debug` prints every `NaN` payload alike.
+    fn float_bits(resp: &Response) -> Vec<u64> {
+        let floats: Vec<f64> = match resp {
+            Response::Prediction(p) => vec![p.fused],
+            Response::TopN(items) => items.iter().map(|&(_, s)| s).collect(),
+            Response::Profile(p) => [p.scale_min, p.scale_max, p.global_mean]
+                .into_iter()
+                .chain(p.user_means.iter().copied())
+                .collect(),
+            Response::Predictions(preds) => preds.iter().flatten().map(|p| p.fused).collect(),
+            Response::Health(_) | Response::Error { .. } | Response::Stats(_) => Vec::new(),
+        };
+        floats.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// `a` and `b` are the same value, floats compared by bits.
+    fn same_response(a: &Response, b: &Response) -> bool {
+        format!("{a:?}") == format!("{b:?}") && float_bits(a) == float_bits(b)
+    }
+
+    fn assert_same_response(a: &Response, b: &Response) {
+        assert!(same_response(a, b), "{a:?} != {b:?}");
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    const CTX: TraceContext = TraceContext {
+        trace_id: 0xfeed_0000_0000_0042,
+        parent_span: 3,
+        sampled: true,
+    };
+
+    /// `req` carrying `ctx`, as a request built inside a trace does.
+    fn traced(mut req: Request, ctx: TraceContext) -> Request {
+        if let Request::Predict { trace, .. }
+        | Request::RecommendTopN { trace, .. }
+        | Request::PredictBatch { trace, .. } = &mut req
+        {
+            *trace = FrameTrace(Some(ctx));
+        }
+        req
+    }
+
+    fn pred(fused: f64, level: u8, fallback: bool) -> WirePrediction {
+        WirePrediction {
+            fused,
+            level,
+            fallback,
+        }
+    }
+
+    fn span(name: &str, start_ns: u64, dur_ns: u64, depth: u8) -> RemoteSpan {
+        RemoteSpan {
+            origin: String::new(),
+            name: name.to_string(),
+            start_ns,
+            dur_ns,
+            depth,
+        }
     }
 
     #[test]
     fn requests_round_trip() {
-        let ctx = TraceContext {
-            trace_id: 0xfeed_0000_0000_0042,
-            parent_span: 3,
-            sampled: true,
+        let unsampled = TraceContext {
+            trace_id: 1,
+            parent_span: 0,
+            sampled: false,
         };
         let cases = [
             Request::Health,
             Request::Profile,
             Request::Stats,
             Request::predict(7, 42),
-            Request::Predict {
-                user: 7,
-                item: 42,
-                trace: FrameTrace(Some(ctx)),
-            },
+            traced(Request::predict(7, 42), CTX),
             Request::recommend_top_n(3, 10, 100, u32::MAX),
-            Request::RecommendTopN {
-                user: 3,
-                n: 10,
-                item_start: 100,
-                item_end: u32::MAX,
-                trace: FrameTrace(Some(ctx)),
-            },
+            traced(Request::recommend_top_n(3, 10, 100, u32::MAX), CTX),
             Request::predict_batch(vec![]),
-            Request::PredictBatch {
-                pairs: vec![(0, 0), (7, 42), (u32::MAX, u32::MAX)],
-                trace: FrameTrace(Some(TraceContext {
-                    trace_id: 1,
-                    parent_span: 0,
-                    sampled: false,
-                })),
-            },
+            traced(
+                Request::predict_batch(vec![(0, 0), (7, 42), (u32::MAX, u32::MAX)]),
+                unsampled,
+            ),
         ];
         for req in cases {
-            let (mut client, mut server) = pair();
-            write_request(&mut client, &req).unwrap();
-            match read_request(&mut server, Duration::from_secs(1)).unwrap() {
-                ReadOutcome::Frame(got) => assert_eq!(got, req),
-                other => panic!("expected a frame, got {other:?}"),
-            }
+            assert_eq!(decode_request_frame(&request_frame(&req)), req);
         }
     }
 
@@ -1066,8 +1127,8 @@ mod tests {
     #[test]
     fn requests_without_trailing_trace_context_decode_as_none() {
         let mut payload = Vec::new();
-        put_u32(&mut payload, 7);
-        put_u32(&mut payload, 42);
+        7u32.put(&mut payload);
+        42u32.put(&mut payload);
         match Request::decode(KIND_PREDICT, &payload).unwrap() {
             Request::Predict { user, item, trace } => {
                 assert_eq!((user, item), (7, 42));
@@ -1077,55 +1138,63 @@ mod tests {
         }
 
         // Truncated context tail: flag byte present, id cut short.
-        payload.push(1);
-        payload.extend_from_slice(&[0xaa; 3]);
+        let mut short = payload.clone();
+        short.push(1);
+        short.extend_from_slice(&[0xaa; 3]);
+        match Request::decode(KIND_PREDICT, &short).unwrap() {
+            Request::Predict { trace, .. } => assert_eq!(trace, FrameTrace(None)),
+            other => panic!("{other:?}"),
+        }
+
+        // Only a flag of exactly 1 means "traced": a flag of 2 before a
+        // whole context is still no context.
+        payload.push(2);
+        TraceContext {
+            trace_id: 9,
+            parent_span: 4,
+            sampled: true,
+        }
+        .put(&mut payload);
         match Request::decode(KIND_PREDICT, &payload).unwrap() {
             Request::Predict { trace, .. } => assert_eq!(trace, FrameTrace(None)),
             other => panic!("{other:?}"),
         }
     }
 
+    /// Unlike the trace flag, a batch element's flag is a plain `bool`:
+    /// any non-zero byte means a prediction follows.
+    #[test]
+    fn prediction_flags_read_any_non_zero_byte_as_some() {
+        let mut payload = Vec::new();
+        2u32.put(&mut payload);
+        payload.push(2);
+        pred(2.5, 1, false).put(&mut payload);
+        payload.push(0);
+        let (got, _) = Response::decode_with_spans(KIND_R_PREDICTIONS, &payload).unwrap();
+        assert_eq!(
+            got,
+            Response::Predictions(vec![Some(pred(2.5, 1, false)), None])
+        );
+    }
+
     #[test]
     fn response_spans_round_trip_and_profile_stays_span_free() {
         let spans = vec![
-            RemoteSpan {
-                origin: String::new(),
-                name: "remote.request".to_string(),
-                start_ns: 0,
-                dur_ns: 12_345,
-                depth: 0,
-            },
-            RemoteSpan {
-                origin: String::new(),
-                name: "estimator.sir".to_string(),
-                start_ns: 100,
-                dur_ns: 9_000,
-                depth: 1,
-            },
+            span("remote.request", 0, 12_345, 0),
+            span("estimator.sir", 100, 9_000, 1),
         ];
-        let resp = Response::Prediction(WirePrediction {
-            fused: 3.5,
-            level: 0,
-            fallback: false,
-        });
-        let (mut client, mut server) = pair();
-        write_response_with_spans(&mut client, &resp, &spans).unwrap();
-        let (got, got_spans) = read_response_with_spans(
-            &mut server,
-            Duration::from_secs(1),
-            Instant::now() + Duration::from_secs(1),
-        )
-        .unwrap();
+        let resp = Response::Prediction(pred(3.5, 0, false));
+        let frame = response_frame(&resp, &spans);
+        let (got, got_spans) = decode_response_frame(&frame);
         assert_eq!(got, resp);
         assert_eq!(got_spans.len(), 2);
         assert_eq!(got_spans[0].name, "remote.request");
         assert_eq!(got_spans[1].dur_ns, 9_000);
         assert_eq!(got_spans[1].depth, 1);
 
-        // A plain read_response on the same bytes just drops the spans.
-        let (mut client, mut server) = pair();
-        write_response_with_spans(&mut client, &resp, &spans).unwrap();
-        assert_eq!(roundtrip_response_on(&mut server), resp);
+        // A caller that ignores the spans (`ShardClient::request`) gets the
+        // same response from the same bytes.
+        assert_eq!(decode_response_frame(&frame).0, resp);
 
         // Profile cannot carry spans: its trailing bytes are the
         // generation field, which must survive untouched.
@@ -1137,14 +1206,7 @@ mod tests {
             user_means: vec![2.0],
             generation: 7,
         });
-        let (mut client, mut server) = pair();
-        write_response_with_spans(&mut client, &profile, &spans).unwrap();
-        let (got, got_spans) = read_response_with_spans(
-            &mut server,
-            Duration::from_secs(1),
-            Instant::now() + Duration::from_secs(1),
-        )
-        .unwrap();
+        let (got, got_spans) = decode_response_frame(&response_frame(&profile, &spans));
         assert_eq!(got, profile);
         assert!(got_spans.is_empty());
     }
@@ -1153,14 +1215,11 @@ mod tests {
     /// telemetry blob can never fail the serving answer.
     #[test]
     fn garbled_span_tail_degrades_to_no_spans() {
-        let resp = Response::Prediction(WirePrediction {
-            fused: 2.0,
-            level: 1,
-            fallback: false,
-        });
-        let mut payload = resp.payload();
-        put_u32(&mut payload, 5); // claims 5 spans, carries half of one
-        put_u16(&mut payload, 4);
+        let resp = Response::Prediction(pred(2.0, 1, false));
+        let mut payload = Vec::new();
+        resp.put_payload(&mut payload);
+        5u32.put(&mut payload); // claims 5 spans, carries half of one
+        4u16.put(&mut payload);
         payload.extend_from_slice(b"se");
         let (got, spans) = Response::decode_with_spans(KIND_R_PREDICTION, &payload).unwrap();
         assert_eq!(got, resp);
@@ -1181,32 +1240,19 @@ mod tests {
 
         // A stats length word lying about the payload is malformed.
         let mut payload = Vec::new();
-        put_u32(&mut payload, 3);
-        put_u64(&mut payload, 12);
-        put_u32(&mut payload, 1_000_000);
+        3u32.put(&mut payload);
+        12u64.put(&mut payload);
+        1_000_000u32.put(&mut payload);
         assert!(matches!(
-            Response::decode(KIND_R_STATS, &payload),
+            Response::decode_with_spans(KIND_R_STATS, &payload),
             Err(FrameError::Malformed(_))
         ));
-    }
-
-    fn roundtrip_response_on(server: &mut TcpStream) -> Response {
-        read_response(
-            server,
-            Duration::from_secs(1),
-            Instant::now() + Duration::from_secs(1),
-        )
-        .unwrap()
     }
 
     #[test]
     fn responses_round_trip_bit_for_bit() {
         let fused = std::f64::consts::PI;
-        match roundtrip_response(&Response::Prediction(WirePrediction {
-            fused,
-            level: 2,
-            fallback: false,
-        })) {
+        match roundtrip_response(&Response::Prediction(pred(fused, 2, false))) {
             Response::Prediction(p) => {
                 assert_eq!(p.fused.to_bits(), fused.to_bits());
                 assert_eq!(p.level, 2);
@@ -1250,17 +1296,9 @@ mod tests {
         }
 
         let preds = vec![
-            Some(WirePrediction {
-                fused,
-                level: 0,
-                fallback: false,
-            }),
+            Some(pred(fused, 0, false)),
             None,
-            Some(WirePrediction {
-                fused: f64::NAN,
-                level: 5,
-                fallback: true,
-            }),
+            Some(pred(f64::NAN, 5, true)),
         ];
         match roundtrip_response(&Response::Predictions(preds.clone())) {
             Response::Predictions(got) => {
@@ -1301,10 +1339,13 @@ mod tests {
     fn frames_without_trailing_generation_decode_as_generation_zero() {
         // Hand-build the old 20-byte health payload.
         let mut payload = Vec::new();
-        put_u32(&mut payload, 3);
-        put_u64(&mut payload, 80);
-        put_u64(&mut payload, 120);
-        match Response::decode(KIND_R_HEALTH, &payload).unwrap() {
+        3u32.put(&mut payload);
+        80u64.put(&mut payload);
+        120u64.put(&mut payload);
+        match Response::decode_with_spans(KIND_R_HEALTH, &payload)
+            .unwrap()
+            .0
+        {
             Response::Health(h) => {
                 assert_eq!((h.shard_id, h.num_users, h.num_items), (3, 80, 120));
                 assert_eq!(h.generation, 0);
@@ -1314,14 +1355,17 @@ mod tests {
 
         // And the old profile payload, without the trailing generation.
         let mut payload = Vec::new();
-        put_f64(&mut payload, 1.0);
-        put_f64(&mut payload, 5.0);
-        put_f64(&mut payload, 3.0);
-        put_u64(&mut payload, 10);
-        put_u64(&mut payload, 2);
-        put_f64(&mut payload, 2.5);
-        put_f64(&mut payload, 4.5);
-        match Response::decode(KIND_R_PROFILE, &payload).unwrap() {
+        1.0f64.put(&mut payload);
+        5.0f64.put(&mut payload);
+        3.0f64.put(&mut payload);
+        10u64.put(&mut payload);
+        2u64.put(&mut payload);
+        2.5f64.put(&mut payload);
+        4.5f64.put(&mut payload);
+        match Response::decode_with_spans(KIND_R_PROFILE, &payload)
+            .unwrap()
+            .0
+        {
             Response::Profile(p) => {
                 assert_eq!(p.user_means.len(), 2);
                 assert_eq!(p.generation, 0);
@@ -1332,25 +1376,15 @@ mod tests {
 
     #[test]
     fn corrupt_payload_fails_crc() {
-        let (mut client, mut server) = pair();
-        let req = Request::Predict {
+        let mut raw = request_frame(&Request::Predict {
             user: 1,
             item: 2,
             trace: FrameTrace(None),
-        };
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&MAGIC);
-        raw.extend_from_slice(&VERSION.to_le_bytes());
-        raw.extend_from_slice(&req.kind().to_le_bytes());
-        let payload = req.payload();
-        raw.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        raw.extend_from_slice(&payload);
-        raw.extend_from_slice(&cfsf_core::crc32(&payload).to_le_bytes());
+        });
         // Flip one payload bit.
         let flip = HEADER_LEN + 2;
         raw[flip] ^= 0x01;
-        client.write_all(&raw).unwrap();
-        match read_request(&mut server, Duration::from_secs(1)) {
+        match read_request_from(&raw) {
             Err(FrameError::BadCrc { .. }) => {}
             other => panic!("expected BadCrc, got {other:?}"),
         }
@@ -1359,51 +1393,30 @@ mod tests {
     #[test]
     fn bad_magic_version_kind_and_oversize_are_rejected() {
         // Bad magic.
-        let (mut client, mut server) = pair();
-        client.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
         assert!(matches!(
-            read_request(&mut server, Duration::from_secs(1)),
+            read_request_from(b"GET / HTTP/1.1\r\n\r\n"),
             Err(FrameError::BadMagic(_))
         ));
 
         // Future version.
-        let (mut client, mut server) = pair();
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&MAGIC);
-        raw.extend_from_slice(&99u16.to_le_bytes());
-        raw.extend_from_slice(&KIND_HEALTH.to_le_bytes());
-        raw.extend_from_slice(&0u32.to_le_bytes());
-        raw.extend_from_slice(&cfsf_core::crc32(&[]).to_le_bytes());
-        client.write_all(&raw).unwrap();
         assert!(matches!(
-            read_request(&mut server, Duration::from_secs(1)),
+            read_request_from(&raw_frame(99, KIND_HEALTH, &[])),
             Err(FrameError::BadVersion(99))
         ));
 
         // Unknown kind.
-        let (mut client, mut server) = pair();
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&MAGIC);
-        raw.extend_from_slice(&VERSION.to_le_bytes());
-        raw.extend_from_slice(&1234u16.to_le_bytes());
-        raw.extend_from_slice(&0u32.to_le_bytes());
-        raw.extend_from_slice(&cfsf_core::crc32(&[]).to_le_bytes());
-        client.write_all(&raw).unwrap();
         assert!(matches!(
-            read_request(&mut server, Duration::from_secs(1)),
+            read_request_from(&raw_frame(VERSION, 1234, &[])),
             Err(FrameError::UnknownKind(1234))
         ));
 
         // Oversized declared length: rejected before allocation.
-        let (mut client, mut server) = pair();
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&MAGIC);
-        raw.extend_from_slice(&VERSION.to_le_bytes());
-        raw.extend_from_slice(&KIND_HEALTH.to_le_bytes());
-        raw.extend_from_slice(&u32::MAX.to_le_bytes());
-        client.write_all(&raw).unwrap();
+        let mut raw = MAGIC.to_vec();
+        VERSION.put(&mut raw);
+        KIND_HEALTH.put(&mut raw);
+        u32::MAX.put(&mut raw);
         assert!(matches!(
-            read_request(&mut server, Duration::from_secs(1)),
+            read_request_from(&raw),
             Err(FrameError::TooLarge(_))
         ));
     }
@@ -1412,19 +1425,10 @@ mod tests {
     fn batch_count_lying_about_payload_is_malformed() {
         // A batch frame claiming 1M pairs but carrying only the count
         // word must be rejected before the decoder allocates for it.
-        let (mut client, mut server) = pair();
         let mut payload = Vec::new();
-        put_u32(&mut payload, 1_000_000);
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&MAGIC);
-        raw.extend_from_slice(&VERSION.to_le_bytes());
-        raw.extend_from_slice(&KIND_PREDICT_BATCH.to_le_bytes());
-        raw.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        raw.extend_from_slice(&payload);
-        raw.extend_from_slice(&cfsf_core::crc32(&payload).to_le_bytes());
-        client.write_all(&raw).unwrap();
+        1_000_000u32.put(&mut payload);
         assert!(matches!(
-            read_request(&mut server, Duration::from_secs(1)),
+            read_request_from(&raw_frame(VERSION, KIND_PREDICT_BATCH, &payload)),
             Err(FrameError::Malformed(_))
         ));
     }
@@ -1447,17 +1451,119 @@ mod tests {
 
     #[test]
     fn truncated_mid_frame_is_an_error() {
-        let (mut client, mut server) = pair();
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&MAGIC);
-        raw.extend_from_slice(&VERSION.to_le_bytes());
-        client.write_all(&raw).unwrap();
-        drop(client);
+        let mut raw = MAGIC.to_vec();
+        VERSION.put(&mut raw);
         assert!(matches!(
-            read_request(&mut server, Duration::from_secs(1)),
+            read_request_from(&raw),
             Err(FrameError::Truncated)
         ));
     }
+
+    /// The frame of one fixed value of every kind — header, payload and
+    /// CRC. These bytes are the protocol: a codec change that moves one
+    /// of them breaks every deployed peer. Decoding each gives the value
+    /// back, floats bit for bit.
+    #[test]
+    fn golden_frames_are_byte_exact() {
+        let batch = vec![(0, 0), (7, 42), (u32::MAX, u32::MAX)];
+        let requests: [Request; 9] = [
+            Request::Health,
+            Request::Profile,
+            Request::Stats,
+            Request::predict(7, 42),
+            traced(Request::predict(7, 42), CTX),
+            Request::recommend_top_n(3, 10, 100, u32::MAX),
+            traced(Request::recommend_top_n(3, 10, 100, u32::MAX), CTX),
+            Request::predict_batch(vec![]),
+            traced(Request::predict_batch(batch), CTX),
+        ];
+        for (req, golden) in requests.into_iter().zip(GOLDEN_REQUESTS) {
+            let frame = request_frame(&req);
+            assert_eq!(hex(&frame), golden, "{req:?}");
+            assert_eq!(decode_request_frame(&frame), req);
+        }
+
+        let spans = [
+            span("remote.request", 0, 12_345, 0),
+            span("estimator.sir", 100, 9_000, 1),
+        ];
+        let none: &[RemoteSpan] = &[];
+        let payload_nan = f64::from_bits(0x7ff0_0000_0000_0001);
+        let health = HealthInfo {
+            shard_id: 3,
+            num_users: 80,
+            num_items: 120,
+            generation: 9,
+        };
+        let profile = WireProfile {
+            scale_min: 1.0,
+            scale_max: 5.0,
+            global_mean: 3.6007,
+            num_items: 100,
+            user_means: vec![1.5, f64::NAN, -0.0],
+            generation: 7,
+        };
+        let error = Response::Error {
+            code: ERR_OUT_OF_RANGE,
+            message: "user 900 not in model".into(),
+        };
+        let stats = WireStats {
+            shard_id: 3,
+            generation: 12,
+            snapshot: vec![1, 0, 0, 9, 255, 42],
+        };
+        let top_n = vec![(5, 4.75), (2, f64::NEG_INFINITY), (9, f64::NAN)];
+        let preds = vec![
+            Some(pred(f64::INFINITY, 0, false)),
+            None,
+            Some(pred(payload_nan, 5, true)),
+        ];
+        let responses: [(Response, &[RemoteSpan]); 9] = [
+            (Response::Health(health), none),
+            (
+                Response::Prediction(pred(std::f64::consts::PI, 2, false)),
+                &spans,
+            ),
+            (Response::Prediction(pred(payload_nan, 5, true)), none),
+            (Response::TopN(vec![]), none),
+            (Response::TopN(top_n), none),
+            (Response::Profile(profile), none),
+            (error, none),
+            (Response::Predictions(preds), &spans),
+            (Response::Stats(stats), none),
+        ];
+        for ((resp, sent), golden) in responses.into_iter().zip(GOLDEN_RESPONSES) {
+            let frame = response_frame(&resp, sent);
+            assert_eq!(hex(&frame), golden, "{resp:?}");
+            let (got, got_spans) = decode_response_frame(&frame);
+            assert_same_response(&got, &resp);
+            assert_eq!(got_spans, sent);
+        }
+    }
+
+    const GOLDEN_REQUESTS: [&str; 9] = [
+        "43465750010001000000000000000000",
+        "43465750010004000000000000000000",
+        "43465750010006000000000000000000",
+        "434657500100020008000000070000002a0000002a9968a0",
+        "434657500100020016000000070000002a00000001420000000000edfe030000000171c2a5bf",
+        "434657500100030010000000030000000a00000064000000ffffffff64995ea5",
+        "43465750010003001e000000030000000a00000064000000ffffffff01420000000000edfe0300000001a65fc4bf",
+        "434657500100050004000000000000001cdf4421",
+        "43465750010005002a000000030000000000000000000000070000002a000000ffffffffffffffff01420000000000edfe030000000111926454",
+    ];
+
+    const GOLDEN_RESPONSES: [&str; 9] = [
+        "43465750010010001c000000030000005000000000000000780000000000000009000000000000003bc22368",
+        "43465750010011004f000000182d4454fb2109400200020000000e0072656d6f74652e7265717565737400000000000000003930000000000000000d00657374696d61746f722e73697264000000000000002823000000000000014b02ccad",
+        "43465750010011000a000000010000000000f07f050151fef3df",
+        "434657500100120004000000000000001cdf4421",
+        "4346575001001200280000000300000005000000000000000000134002000000000000000000f0ff09000000000000000000f87fc50de781",
+        "434657500100130048000000000000000000f03f000000000000144058a835cd3bce0c4064000000000000000300000000000000000000000000f83f000000000000f87f00000000000000800700000000000000c9298e6c",
+        "43465750010014001b0000000100150000007573657220393030206e6f7420696e206d6f64656c12160d85",
+        "4346575001001500600000000300000001000000000000f07f00000001010000000000f07f0501020000000e0072656d6f74652e7265717565737400000000000000003930000000000000000d00657374696d61746f722e7369726400000000000000282300000000000001b92cc8fc",
+        "434657500100160016000000030000000c000000000000000600000001000009ff2a63c9a40c",
+    ];
 
     /// Where each length-prefixed kind keeps its count (byte offset,
     /// width), so the fuzz below can plant a small, plausible count
@@ -1504,6 +1610,58 @@ mod tests {
             }
         }
         caps
+    }
+
+    /// Ids with the edges drawn often: `0`, `u32::MAX`, anything.
+    fn arb_id() -> impl Strategy<Value = u32> {
+        (0u8..4, 0u32..=u32::MAX).prop_map(|(pick, id)| match pick {
+            0 => 0,
+            1 => u32::MAX,
+            _ => id,
+        })
+    }
+
+    /// Any bit pattern, with quiet and payload-carrying `NaN`s, `±inf`
+    /// and `-0.0` drawn often.
+    fn arb_f64() -> impl Strategy<Value = f64> {
+        (0u8..8, 0u64..=u64::MAX).prop_map(|(pick, bits)| match pick {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => f64::from_bits(bits | 0x7ff0_0000_0000_0001),
+            _ => f64::from_bits(bits),
+        })
+    }
+
+    fn arb_bool() -> impl Strategy<Value = bool> {
+        (0u8..2).prop_map(|b| b == 1)
+    }
+
+    fn arb_trace() -> impl Strategy<Value = FrameTrace> {
+        let ctx = (0u64..=u64::MAX, arb_id(), arb_bool()).prop_map(|(id, parent, sampled)| {
+            TraceContext {
+                trace_id: id,
+                parent_span: parent,
+                sampled,
+            }
+        });
+        proptest::option::of(ctx).prop_map(FrameTrace)
+    }
+
+    fn arb_prediction() -> impl Strategy<Value = WirePrediction> {
+        (arb_f64(), 0u8..=255, arb_bool()).prop_map(|(f, level, fallback)| pred(f, level, fallback))
+    }
+
+    /// One- and two-byte UTF-8 (code points below `0x800`).
+    fn arb_text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0u32..0x800, 0..24)
+            .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    fn arb_span() -> impl Strategy<Value = RemoteSpan> {
+        (arb_text(), 0u64..=u64::MAX, 0u64..=u64::MAX, 0u8..=255)
+            .prop_map(|(name, start, dur, depth)| span(&name, start, dur, depth))
     }
 
     proptest::proptest! {
@@ -1557,6 +1715,66 @@ mod tests {
                     );
                 }
             }
+        }
+
+        /// Decoding an encoded request of any kind gives the request back.
+        #[test]
+        fn every_request_round_trips(
+            kind in 0u8..6,
+            ids in (arb_id(), arb_id(), arb_id(), arb_id()),
+            pairs in proptest::collection::vec((arb_id(), arb_id()), 0..40),
+            trace in arb_trace(),
+        ) {
+            let (user, item, n, item_end) = ids;
+            let req = match kind {
+                0 => Request::Health,
+                1 => Request::Predict { user, item, trace },
+                2 => Request::RecommendTopN { user, n, item_start: item, item_end, trace },
+                3 => Request::Profile,
+                4 => Request::PredictBatch { pairs, trace },
+                _ => Request::Stats,
+            };
+            proptest::prop_assert_eq!(decode_request_frame(&request_frame(&req)), req);
+        }
+
+        /// Decoding an encoded response of any kind gives the response
+        /// back, floats bit for bit, with its spans where the kind carries
+        /// them.
+        #[test]
+        fn every_response_round_trips(
+            kind in 0u8..7,
+            words in (arb_id(), 0u64..=u64::MAX, 0u64..=u64::MAX, 0u64..=u64::MAX),
+            floats in (arb_f64(), arb_f64(), arb_f64()),
+            prediction in arb_prediction(),
+            items in proptest::collection::vec((arb_id(), arb_f64()), 0..40),
+            means in proptest::collection::vec(arb_f64(), 0..40),
+            preds in proptest::collection::vec(proptest::option::of(arb_prediction()), 0..40),
+            error in (0u16..=u16::MAX, arb_text()),
+            snapshot in proptest::collection::vec(0u8..=255, 0..64),
+            spans in proptest::collection::vec(arb_span(), 0..REMOTE_SPANS_CAP + 1),
+        ) {
+            let (shard_id, num_users, num_items, generation) = words;
+            let (scale_min, scale_max, global_mean) = floats;
+            let resp = match kind {
+                0 => Response::Health(HealthInfo { shard_id, num_users, num_items, generation }),
+                1 => Response::Prediction(prediction),
+                2 => Response::TopN(items),
+                3 => Response::Profile(WireProfile {
+                    scale_min,
+                    scale_max,
+                    global_mean,
+                    num_items,
+                    user_means: means,
+                    generation,
+                }),
+                4 => Response::Error { code: error.0, message: error.1 },
+                5 => Response::Predictions(preds),
+                _ => Response::Stats(WireStats { shard_id, generation, snapshot }),
+            };
+            let (got, got_spans) = decode_response_frame(&response_frame(&resp, &spans));
+            proptest::prop_assert!(same_response(&got, &resp), "{got:?} != {resp:?}");
+            let sent = if span_capable(resp.kind()) { spans } else { Vec::new() };
+            proptest::prop_assert_eq!(got_spans, sent);
         }
     }
 }

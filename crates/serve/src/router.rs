@@ -37,7 +37,9 @@ use cf_matrix::RatingScale;
 use cfsf_core::DegradeLevel;
 
 use crate::client::{ClientOptions, ShardClient};
-use crate::frame::{FrameError, HealthInfo, Request, Response, WireProfile, WireStats};
+use crate::frame::{
+    FrameError, HealthInfo, Request, Response, WirePrediction, WireProfile, WireStats,
+};
 
 /// Tuning for the router tier.
 #[derive(Debug, Clone)]
@@ -111,18 +113,19 @@ impl FallbackTable {
     }
 }
 
-/// A tiny xoshiro256**-style generator seeded through splitmix64 — the
-/// same mixer [`shard_for_user`] uses — so retry backoff can be
-/// jittered without pulling in a randomness dependency. One instance
-/// per shard slot, seeded from the slot's address and index, so two
-/// routers (or two slots) that fail at the same instant do not sleep
-/// in lockstep and re-stampede the shard together.
+/// Retry-backoff jitter without a randomness dependency: splitmix64 —
+/// the mixer [`shard_for_user`] hashes with — stepped over one atomic per
+/// shard slot, seeded from the slot's address and index, so two routers
+/// (or two slots) that fail at the same instant do not sleep in lockstep
+/// and re-stampede the shard together.
 struct JitterRng {
-    state: Mutex<[u64; 4]>,
+    state: AtomicU64,
 }
 
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    *state = state.wrapping_add(SPLITMIX_GAMMA);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -131,19 +134,13 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 impl JitterRng {
     fn seeded(seed: u64) -> Self {
-        let mut s = seed;
         Self {
-            state: Mutex::new([
-                splitmix64(&mut s),
-                splitmix64(&mut s),
-                splitmix64(&mut s),
-                splitmix64(&mut s),
-            ]),
+            state: AtomicU64::new(seed),
         }
     }
 
     /// Seed from a shard slot's identity: the address bytes folded with
-    /// the slot index, then expanded through splitmix64.
+    /// the slot index.
     fn for_slot(addr: &str, index: usize) -> Self {
         let folded = addr.bytes().fold(index as u64 + 1, |h, b| {
             h.wrapping_mul(131).wrapping_add(u64::from(b))
@@ -152,19 +149,11 @@ impl JitterRng {
     }
 
     fn next_u64(&self) -> u64 {
-        let mut s = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
-        result
+        // Claim one step of the sequence, so concurrent callers draw
+        // distinct steps without a lock. Relaxed: the draw publishes no
+        // other data.
+        let mut s = self.state.fetch_add(SPLITMIX_GAMMA, Ordering::Relaxed);
+        splitmix64(&mut s)
     }
 }
 
@@ -190,6 +179,16 @@ pub struct RouterPrediction {
     /// Index of the shard that answered; `None` means the router's own
     /// fallback table did (shard down or shed).
     pub shard: Option<usize>,
+}
+
+impl From<RouterPrediction> for WirePrediction {
+    fn from(p: RouterPrediction) -> Self {
+        Self {
+            fused: p.fused,
+            level: p.level.code(),
+            fallback: p.fallback,
+        }
+    }
 }
 
 /// One top-N answer from the router.
@@ -244,11 +243,7 @@ pub struct Router {
 /// which users a given shard owns.
 pub fn shard_for_user(user: u32, shards: usize) -> usize {
     debug_assert!(shards > 0);
-    let mut z = u64::from(user).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % shards.max(1) as u64) as usize
+    (splitmix64(&mut u64::from(user)) % shards.max(1) as u64) as usize
 }
 
 /// Errors establishing the router (runtime requests never error — they
@@ -868,23 +863,11 @@ impl Handler for RouterHandler {
             Request::PredictBatch { pairs, .. } => Response::Predictions(
                 pairs
                     .into_iter()
-                    .map(|(user, item)| {
-                        self.router
-                            .predict(user, item)
-                            .map(|p| crate::frame::WirePrediction {
-                                fused: p.fused,
-                                level: p.level.code(),
-                                fallback: p.fallback,
-                            })
-                    })
+                    .map(|(user, item)| self.router.predict(user, item).map(WirePrediction::from))
                     .collect(),
             ),
             Request::Predict { user, item, .. } => match self.router.predict(user, item) {
-                Some(p) => Response::Prediction(crate::frame::WirePrediction {
-                    fused: p.fused,
-                    level: p.level.code(),
-                    fallback: p.fallback,
-                }),
+                Some(p) => Response::Prediction(p.into()),
                 None => Response::Error {
                     code: ERR_OUT_OF_RANGE,
                     message: format!("user {user} or item {item} outside the model"),
@@ -963,6 +946,30 @@ mod tests {
         (1..=attempts)
             .map(|a| jittered_backoff(base, a, rng.next_u64()))
             .collect()
+    }
+
+    /// User ownership is persistent routing state: a changed hash moves
+    /// users to shards that never served them. These pairs are pinned.
+    #[test]
+    fn shard_for_user_is_pinned() {
+        let pinned = [
+            (0, 1, 0),
+            (0, 2, 1),
+            (1, 2, 1),
+            (7, 3, 0),
+            (42, 4, 1),
+            (943, 5, 3),
+            (12_345, 7, 5),
+            (u32::MAX, 8, 0),
+            (u32::MAX, 3, 2),
+        ];
+        for (user, shards, owner) in pinned {
+            assert_eq!(
+                shard_for_user(user, shards),
+                owner,
+                "user {user} of {shards}"
+            );
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use cf_matrix::{ItemId, UserId};
+use cfsf_core::PredictionBreakdown;
 
 use crate::frame::{
     self, HealthInfo, ReadOutcome, Request, Response, WirePrediction, WireProfile, WireStats,
@@ -174,6 +175,7 @@ fn accept_loop(
                             code: ERR_BUSY,
                             message: "server at connection limit".into(),
                         },
+                        &[],
                     );
                     continue;
                 }
@@ -257,7 +259,7 @@ fn connection_loop(
                     ConnAction::Close => return Ok(()),
                     ConnAction::Continue => {}
                 }
-                frame::write_response_with_spans(stream, &resp, &spans)?;
+                frame::write_response(stream, &resp, &spans)?;
             }
             Err(crate::frame::FrameError::Io(e)) => return Err(crate::frame::FrameError::Io(e)),
             Err(e) => {
@@ -268,6 +270,7 @@ fn connection_loop(
                         code: crate::frame::ERR_BAD_REQUEST,
                         message: e.to_string(),
                     },
+                    &[],
                 );
                 return Err(e);
             }
@@ -284,6 +287,16 @@ pub struct ShardOptions {
     pub shard_id: u32,
     /// Transport tuning.
     pub server: ServerOptions,
+}
+
+impl From<PredictionBreakdown> for WirePrediction {
+    fn from(b: PredictionBreakdown) -> Self {
+        Self {
+            fused: b.fused,
+            level: b.level.code(),
+            fallback: b.used_fallback,
+        }
+    }
 }
 
 struct ShardHandler {
@@ -322,11 +335,7 @@ impl ShardHandler {
             .load()
             .predict_with_breakdown(UserId::new(user), ItemId::new(item))
         {
-            Some(b) => Response::Prediction(WirePrediction {
-                fused: b.fused,
-                level: b.level.code(),
-                fallback: b.used_fallback,
-            }),
+            Some(b) => Response::Prediction(b.into()),
             None => Response::Error {
                 code: ERR_OUT_OF_RANGE,
                 message: format!("user {user} or item {item} outside the model"),
@@ -349,13 +358,7 @@ impl ShardHandler {
             .load()
             .predict_batch_with_breakdown(&reqs, None)
             .into_iter()
-            .map(|b| {
-                b.map(|b| WirePrediction {
-                    fused: b.fused,
-                    level: b.level.code(),
-                    fallback: b.used_fallback,
-                })
-            })
+            .map(|b| b.map(WirePrediction::from))
             .collect();
         Response::Predictions(preds)
     }
