@@ -26,8 +26,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "counter-pairing",
-        summary: "every online.degrade.* / online.neighbor_cache.* / cache.* \
-                  counter increment site must have a matching test reference",
+        summary: "every online.degrade.* / online.neighbor_cache.* / online.topn.* / \
+                  cache.* counter increment site must have a matching test reference",
     },
     RuleInfo {
         id: "unwind-safe-mut",
@@ -37,7 +37,12 @@ pub const RULES: &[RuleInfo] = &[
 ];
 
 /// Counter-name prefixes that require a paired test reference.
-const PAIRED_COUNTER_PREFIXES: &[&str] = &["online.degrade.", "online.neighbor_cache.", "cache."];
+const PAIRED_COUNTER_PREFIXES: &[&str] = &[
+    "online.degrade.",
+    "online.neighbor_cache.",
+    "online.topn.",
+    "cache.",
+];
 
 /// Runs every single-file rule over one scan.
 pub fn check_file(scan: &FileScan, out: &mut Vec<Diagnostic>) {

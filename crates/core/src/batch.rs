@@ -108,9 +108,10 @@ impl Cfsf {
     }
 
     /// Scores every unrated item for `user` in parallel and returns the
-    /// best `n`, like [`Cfsf::recommend_top_n`] but sharded across
-    /// threads — the serving-path version for interactive latency on
-    /// large catalogs.
+    /// best `n`: the exhaustive scan, sharded across threads. It returns
+    /// what [`Cfsf::recommend_top_n`] returns, which reaches the same
+    /// answer serially while skipping `SUIR'` for most items, so this
+    /// exhaustive version doubles as that one's cross-check.
     pub fn recommend_top_n_parallel(
         &self,
         user: UserId,

@@ -252,35 +252,13 @@ impl Cfsf {
         Ok(model)
     }
 
-    /// Scores every item the user hasn't rated and returns the best `n`
-    /// as `(item, predicted rating)`, best first. Ties break toward the
-    /// lower item id.
+    /// Returns the best `n` items the user hasn't rated as
+    /// `(item, predicted rating)`, best first, ties toward the lower item
+    /// id: exactly the ranking of every unrated item's
+    /// [`predict`](Predictor::predict), computed without running the full
+    /// kernel on every item (see [`Cfsf::recommend_top_n_in_range`]).
     pub fn recommend_top_n(&self, user: UserId, n: usize) -> Vec<(ItemId, f64)> {
         self.recommend_top_n_in_range(user, n, 0..u32::MAX)
-    }
-
-    /// [`recommend_top_n`](Self::recommend_top_n) restricted to the item
-    /// stripe `items` (end clamped to the item count). This is the
-    /// scatter-gather primitive for sharded serving: each shard scores
-    /// one stripe, and merging the per-stripe results with
-    /// [`crate::topk::top_k_by_score`] reproduces the single-process
-    /// answer bit for bit — any global top-`n` item is necessarily in
-    /// its own stripe's top-`n`.
-    pub fn recommend_top_n_in_range(
-        &self,
-        user: UserId,
-        n: usize,
-        items: std::ops::Range<u32>,
-    ) -> Vec<(ItemId, f64)> {
-        let end = items.end.min(self.matrix.num_items() as u32);
-        let start = items.start.min(end);
-        crate::topk::top_k_by_score(
-            n,
-            (start..end)
-                .map(ItemId::new)
-                .filter(|&i| !self.matrix.is_rated(user, i))
-                .filter_map(|i| self.predict(user, i).map(|r| (i, r))),
-        )
     }
 }
 

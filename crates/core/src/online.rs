@@ -18,6 +18,12 @@
 //!   quantization tolerance `planes.step() + 1e-9` — weights are exact,
 //!   so availability, overlap counts, and degrade levels match exactly)
 //!   and the baseline the throughput benchmark measures speedups from.
+//!
+//! The fast path runs in two stages, `SIR'`+`SUR'` (`O(M + K)`) and then
+//! `SUIR'` (`O(M·K)`). A point prediction runs both. Top-N
+//! ([`Cfsf::recommend_top_n_in_range`]) runs stage one on every candidate
+//! and stage two only on the candidates whose upper bound can still
+//! enter the top `n`.
 
 #![warn(clippy::disallowed_methods)]
 
@@ -52,6 +58,29 @@ pub struct PredictionBreakdown {
     pub m_used: usize,
     /// Like-minded users selected for the local matrix.
     pub k_used: usize,
+}
+
+/// Stage one of the kernel for one item: the sanitized `SIR'` and `SUR'`
+/// and the number of similar items behind `SIR'`.
+#[derive(Clone, Copy)]
+struct ItemEstimates {
+    sir: Option<f64>,
+    sur: Option<f64>,
+    m_used: usize,
+}
+
+/// Drops a non-finite estimator (corrupt plane cell, injected NaN) and
+/// counts the drop. Idempotent, so estimates sanitized in stage one pass
+/// through fusion's own sanitization unchanged and uncounted.
+fn sanitize(v: Option<f64>) -> Option<f64> {
+    match v {
+        Some(x) if x.is_finite() => Some(x),
+        Some(_) => {
+            cf_obs::counter!("online.degrade.nonfinite_estimator").inc();
+            None
+        }
+        None => None,
+    }
 }
 
 /// Per-thread request scratch: the Eq. 13 pair-weight strip for one
@@ -182,79 +211,86 @@ impl Cfsf {
         )
     }
 
-    /// The fast Eq. 12 kernels over the quantized weight planes and the
-    /// precomputed per-item strips. Dispatches on the plane precision
-    /// once, then runs the monomorphized kernel. Returns
-    /// `(sir, sur, suir, m_used)`.
-    fn local_estimators(
-        &self,
-        user: UserId,
-        item: ItemId,
-        top_users: &[(UserId, f64)],
-    ) -> (Option<f64>, Option<f64>, Option<f64>, usize) {
-        match self.planes.view() {
-            PlanesView::U16(v) => self.local_estimators_typed(&v, user, item, top_users),
-            PlanesView::U8(v) => self.local_estimators_typed(&v, user, item, top_users),
-        }
-    }
-
-    /// Monomorphized body of [`Cfsf::local_estimators`]: dequantization
+    /// Stage one of the fast Eq. 12 kernel: `SIR'` and `SUR'` for one
+    /// item, `O(M + K)` cell reads over the quantized weight planes and the
+    /// precomputed per-item strips. Dequantization
     /// ([`cf_matrix::PlaneDequant::pair`]) is fused into every loop, and
-    /// presence comes word-at-a-time from the bit-packed plane. Weights
-    /// dequantize exactly (the LUT holds `0`/`ε`/`1−ε` verbatim), so
-    /// denominators, `m_used`, and estimator availability are identical
-    /// to the f64 reference; only numerators carry the ≤ `step/2` rating
-    /// quantization error.
-    fn local_estimators_typed<C: QuantCell>(
+    /// presence comes straight from the cells. Weights dequantize exactly
+    /// (the LUT holds `0`/`ε`/`1−ε` verbatim), so denominators, `m_used`,
+    /// and estimator availability are identical to the f64 reference;
+    /// only numerators carry the ≤ `step/2` rating quantization error.
+    ///
+    /// The estimates come back sanitized (a non-finite one is dropped and
+    /// counted), so a top-N bound built from them sees exactly what
+    /// fusion will.
+    fn sir_sur<C: QuantCell>(
         &self,
         planes: &TypedPlanes<'_, C>,
         user: UserId,
         item: ItemId,
         top_users: &[(UserId, f64)],
-    ) -> (Option<f64>, Option<f64>, Option<f64>, usize) {
+    ) -> ItemEstimates {
         let dq = planes.dq();
         // A missing strip (id/structure disagreement mid-degradation)
         // contributes nothing: SIR'/SUIR' come out None, SUR' survives.
+        let (idx, sim, _) = self.strips.try_get(item).unwrap_or((&[], &[], &[]));
+
+        // --- SIR': the active user's (smoothed) ratings on similar
+        // items, dequantized straight off the user's plane row. The
+        // presence bit gates the weight (absent cells contribute
+        // exact zeros) and sums into `m_used` — no `is_nan` test.
+        let sir_span = cf_obs::trace::span("estimator.sir");
+        let row_b = planes.cell_row(user);
+        let mut sir_num = 0.0;
+        let mut sir_den = 0.0;
+        let mut m_used = 0u64;
+        for (&s, &c) in sim.iter().zip(idx) {
+            let (w, wr, p) = dq.triple(row_b[c as usize]);
+            sir_num += s * wr;
+            sir_den += s * w;
+            m_used += p;
+        }
+        let sir = (sir_den > f64::EPSILON).then(|| sir_num / sir_den);
+        drop(sir_span);
+        #[cfg(feature = "faultinject")]
+        let sir = sir.map(|v| cf_faultinject::corrupt_f64("online.nan_estimator", v));
+
+        // --- SUR': like-minded users' (smoothed) ratings on the
+        // active item, mean-centered per user: `w·(r − mean)` becomes
+        // `w·r − w·mean` straight off the planes.
+        let sur_span = cf_obs::trace::span("estimator.sur");
+        let mean_b = self.matrix.user_mean(user);
+        let mut sur_num = 0.0;
+        let mut sur_den = 0.0;
+        for &(u_t, sim_t) in top_users {
+            let (w, wr) = planes.pair(u_t, item);
+            sur_num += sim_t * (wr - w * self.matrix.user_mean(u_t));
+            sur_den += sim_t * w;
+        }
+        let sur = (sur_den > f64::EPSILON).then(|| mean_b + sur_num / sur_den);
+        drop(sur_span);
+
+        ItemEstimates {
+            sir: sanitize(sir),
+            sur: sanitize(sur),
+            m_used: m_used as usize,
+        }
+    }
+
+    /// Stage two of the fast Eq. 12 kernel: `SUIR'`, the `O(M·K)` part.
+    fn suir<C: QuantCell>(
+        &self,
+        planes: &TypedPlanes<'_, C>,
+        item: ItemId,
+        top_users: &[(UserId, f64)],
+    ) -> Option<f64> {
+        let dq = planes.dq();
         let (idx, sim, sim2) = self.strips.try_get(item).unwrap_or((&[], &[], &[]));
         let m = idx.len();
+        let _suir_span = cf_obs::trace::span("estimator.suir");
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-
-            // --- SIR': the active user's (smoothed) ratings on similar
-            // items, dequantized straight off the user's plane row. The
-            // presence bit gates the weight (absent cells contribute
-            // exact zeros) and sums into `m_used` — no `is_nan` test.
-            let sir_span = cf_obs::trace::span("estimator.sir");
-            let row_b = planes.cell_row(user);
-            let mut sir_num = 0.0;
-            let mut sir_den = 0.0;
-            let mut m_used = 0u64;
-            for (&s, &c) in sim.iter().zip(idx) {
-                let (w, wr, p) = dq.triple(row_b[c as usize]);
-                sir_num += s * wr;
-                sir_den += s * w;
-                m_used += p;
-            }
-            let sir = (sir_den > f64::EPSILON).then(|| sir_num / sir_den);
-            drop(sir_span);
-
-            // --- SUR': like-minded users' (smoothed) ratings on the
-            // active item, mean-centered per user: `w·(r − mean)` becomes
-            // `w·r − w·mean` straight off the planes.
-            let sur_span = cf_obs::trace::span("estimator.sur");
-            let mean_b = self.matrix.user_mean(user);
-            let mut sur_num = 0.0;
-            let mut sur_den = 0.0;
-            for &(u_t, sim_t) in top_users {
-                let (w, wr) = planes.pair(u_t, item);
-                sur_num += sim_t * (wr - w * self.matrix.user_mean(u_t));
-                sur_den += sim_t * w;
-            }
-            let sur = (sur_den > f64::EPSILON).then(|| mean_b + sur_num / sur_den);
-            drop(sur_span);
-
-            let suir_span = cf_obs::trace::span("estimator.suir");
-            // --- SUIR': Eq. 12/13, one neighbor row at a time. Phase one
+            // Eq. 12/13, one neighbor row at a time. Phase one
             // touches the *next* neighbor's plane row (safe software
             // prefetch — see `TypedPlanes::prefetch_row`), so its DRAM
             // latency overlaps this neighbor's pair-weight fill and MAC:
@@ -305,10 +341,7 @@ impl Cfsf {
                 suir_num += (num[0] + num[1]) + (num[2] + num[3]);
                 suir_den += (den[0] + den[1]) + (den[2] + den[3]);
             }
-            let suir = (suir_den > f64::EPSILON).then(|| suir_num / suir_den);
-            drop(suir_span);
-
-            (sir, sur, suir, m_used as usize)
+            (suir_den > f64::EPSILON).then(|| suir_num / suir_den)
         })
     }
 
@@ -333,16 +366,6 @@ impl Cfsf {
         // A non-finite estimator (corrupt plane cell, injected NaN) must
         // not reach fusion: one NaN term would poison the whole fused
         // value. Drop it — the ladder absorbs the loss.
-        fn sanitize(v: Option<f64>) -> Option<f64> {
-            match v {
-                Some(x) if x.is_finite() => Some(x),
-                Some(_) => {
-                    cf_obs::counter!("online.degrade.nonfinite_estimator").inc();
-                    None
-                }
-                None => None,
-            }
-        }
         let (sir, sur, suir) = (sanitize(sir), sanitize(sur), sanitize(suir));
         let available = [sir, sur, suir].iter().flatten().count();
 
@@ -402,14 +425,45 @@ impl Cfsf {
             self.top_k_users(user)
         };
         cf_obs::time_scope!("online.predict_ns");
-        let scale = self.matrix.scale();
+        Some(match self.planes.view() {
+            PlanesView::U16(v) => self.predict_typed(&v, user, item, &top_users, trace_req),
+            PlanesView::U8(v) => self.predict_typed(&v, user, item, &top_users, trace_req),
+        })
+    }
 
-        let (sir, sur, suir, m_used) = self.local_estimators(user, item, &top_users);
-        #[cfg(feature = "faultinject")]
-        let sir = sir.map(|v| cf_faultinject::corrupt_f64("online.nan_estimator", v));
+    /// Both kernel stages for one item, then [`Cfsf::finish_prediction`].
+    fn predict_typed<C: QuantCell>(
+        &self,
+        planes: &TypedPlanes<'_, C>,
+        user: UserId,
+        item: ItemId,
+        top_users: &[(UserId, f64)],
+        trace_req: cf_obs::trace::RequestGuard,
+    ) -> PredictionBreakdown {
+        let first = self.sir_sur(planes, user, item, top_users);
+        self.finish_prediction(planes, user, item, top_users, first, trace_req)
+    }
+
+    /// Everything after stage one of one prediction: `SUIR'`, fusion and
+    /// the ladder, the trace outcome and the per-prediction counters.
+    /// Point predictions and top-N share it, so a top-N item that is
+    /// scored is served and counted exactly as a point prediction.
+    fn finish_prediction<C: QuantCell>(
+        &self,
+        planes: &TypedPlanes<'_, C>,
+        user: UserId,
+        item: ItemId,
+        top_users: &[(UserId, f64)],
+        first: ItemEstimates,
+        trace_req: cf_obs::trace::RequestGuard,
+    ) -> PredictionBreakdown {
+        let scale = self.matrix.scale();
+        let suir = self.suir(planes, item, top_users);
+        let m_used = first.m_used;
 
         let fuse_span = cf_obs::trace::span("fuse");
-        let (sir, sur, suir, fused, level) = self.fuse_with_ladder(user, item, sir, sur, suir);
+        let (sir, sur, suir, fused, level) =
+            self.fuse_with_ladder(user, item, first.sir, first.sur, suir);
         drop(fuse_span);
         let used_fallback = level.is_fallback();
         level.record();
@@ -432,7 +486,7 @@ impl Cfsf {
         cf_obs::histogram!("online.m_used").record(m_used as u64);
         cf_obs::histogram!("online.k_used").record(top_users.len() as u64);
 
-        Some(PredictionBreakdown {
+        PredictionBreakdown {
             sir,
             sur,
             suir,
@@ -441,7 +495,96 @@ impl Cfsf {
             level,
             m_used,
             k_used: top_users.len(),
-        })
+        }
+    }
+
+    /// [`Cfsf::recommend_top_n`] restricted to the item stripe `items`
+    /// (end clamped to the item count). This is the scatter-gather
+    /// primitive for sharded serving: each shard scores one stripe, and
+    /// merging the per-stripe results with
+    /// [`crate::topk::top_k_by_score`] reproduces the single-process
+    /// answer bit for bit — any global top-`n` item is necessarily in its
+    /// own stripe's top-`n`.
+    ///
+    /// The answer is exactly `top_k_by_score` over every unrated item's
+    /// [`Cfsf::predict`], but most items never run the `O(M·K)` `SUIR'`
+    /// stage. Stage one (`SIR'`, `SUR'`) runs for every unrated item and
+    /// bounds its prediction from above by fusing it with the plane's
+    /// [`rating_ceiling`](cf_matrix::WeightPlanes::rating_ceiling) in
+    /// place of `SUIR'`; [`crate::topk::top_k_bounded`] then finishes
+    /// only the items whose bound can still enter the top `n` (DESIGN.md
+    /// §6b, "Bounded top-N").
+    pub fn recommend_top_n_in_range(
+        &self,
+        user: UserId,
+        n: usize,
+        items: std::ops::Range<u32>,
+    ) -> Vec<(ItemId, f64)> {
+        if user.index() >= self.matrix.num_users() {
+            return Vec::new();
+        }
+        let end = items.end.min(self.matrix.num_items() as u32);
+        let start = items.start.min(end);
+        cf_obs::time_scope!("online.topn_ns");
+        let top_users = self.top_k_users(user);
+        match self.planes.view() {
+            PlanesView::U16(v) => self.top_n_typed(&v, user, n, start..end, &top_users),
+            PlanesView::U8(v) => self.top_n_typed(&v, user, n, start..end, &top_users),
+        }
+    }
+
+    /// Monomorphized body of [`Cfsf::recommend_top_n_in_range`].
+    fn top_n_typed<C: QuantCell>(
+        &self,
+        planes: &TypedPlanes<'_, C>,
+        user: UserId,
+        n: usize,
+        items: std::ops::Range<u32>,
+        top_users: &[(UserId, f64)],
+    ) -> Vec<(ItemId, f64)> {
+        let ceiling = self.planes.rating_ceiling();
+        // Stage one for every unrated item, in ascending item order, so a
+        // candidate's index ranks exactly as its item id does.
+        let mut firsts: Vec<(ItemId, ItemEstimates)> = Vec::with_capacity(items.len());
+        let mut bounds: Vec<(u32, f64)> = Vec::with_capacity(items.len());
+        for item in items.map(ItemId::new) {
+            if self.matrix.is_rated(user, item) {
+                continue;
+            }
+            let first = self.sir_sur(planes, user, item, top_users);
+            bounds.push((firsts.len() as u32, self.prediction_bound(&first, ceiling)));
+            firsts.push((item, first));
+        }
+        let mut scored = 0u64;
+        let top = crate::topk::top_k_bounded(n, bounds, |k| {
+            scored += 1;
+            let (item, first) = firsts[k as usize];
+            let trace_req = cf_obs::trace::begin_request(user.raw(), item.raw());
+            cf_obs::time_scope!("online.predict_ns");
+            self.finish_prediction(planes, user, item, top_users, first, trace_req)
+                .fused
+        });
+        cf_obs::counter!("online.topn.scored").add(scored);
+        cf_obs::counter!("online.topn.pruned").add(firsts.len() as u64 - scored);
+        top.into_iter()
+            .map(|(k, score)| (firsts[k as usize].0, score))
+            .collect()
+    }
+
+    /// An upper bound on the served prediction of an item whose stage-one
+    /// estimates are `first`. `SUIR'` is a weighted mean of plane cells,
+    /// so it is at most `ceiling` or missing; Eq. 14 fusion and the clamp
+    /// are monotone in it, so the larger of the two fusions bounds the
+    /// prediction. When either fusion is missing, the ladder below Eq. 14
+    /// may serve the item, and nothing bounds that: `+∞`.
+    fn prediction_bound(&self, first: &ItemEstimates, ceiling: f64) -> f64 {
+        let (lambda, delta) = (self.config.lambda, self.config.delta);
+        let with_suir = fuse(first.sir, first.sur, Some(ceiling), lambda, delta);
+        let without_suir = fuse(first.sir, first.sur, None, lambda, delta);
+        match (with_suir, without_suir) {
+            (Some(a), Some(b)) => self.matrix.scale().clamp(a.max(b)),
+            _ => f64::INFINITY,
+        }
     }
 
     /// The pre-fast-path online phase: per-cell loops over the dense

@@ -679,3 +679,73 @@ fn probabilistic_chaos_soak_serves_only_sound_predictions() {
     let serial: Vec<Option<f64>> = reqs.iter().map(|&(u, i)| m.predict(u, i)).collect();
     assert_eq!(healed, serial);
 }
+
+// --- scenario 21–22: bounded top-N under online-phase faults ------------
+
+/// The exhaustive scan bounded top-N replaces: every unrated item of the
+/// stripe through `predict`, ranked by `top_k_by_score`.
+fn exhaustive_top_n(
+    m: &Cfsf,
+    user: UserId,
+    n: usize,
+    stripe: std::ops::Range<u32>,
+) -> Vec<(ItemId, f64)> {
+    cfsf_core::topk::top_k_by_score(
+        n,
+        stripe
+            .map(ItemId::new)
+            .filter(|&i| !m.matrix().is_rated(user, i))
+            .filter_map(|i| m.predict(user, i).map(|r| (i, r))),
+    )
+}
+
+/// Bounded top-N equals the exhaustive scan bit for bit on `m`, over the
+/// whole catalog and three stripes, for a spread of users.
+fn assert_top_n_matches_exhaustive(m: &Cfsf) {
+    let items = m.matrix().num_items() as u32;
+    for user in (0..80u32).step_by(9).map(UserId::new) {
+        for n in [1usize, 10] {
+            for stripe in [0..items, 0..40, 40..80, 80..items] {
+                let got = m.recommend_top_n_in_range(user, n, stripe.clone());
+                let want = exhaustive_top_n(m, user, n, stripe.clone());
+                let bits = |v: &[(ItemId, f64)]| -> Vec<(ItemId, u64)> {
+                    v.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "{user:?} n={n} {stripe:?}");
+                for &(_, s) in &got {
+                    assert_in_scale(m, s);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn bounded_top_n_with_empty_neighbor_selection_matches_exhaustive_scan() {
+    let _s = scope();
+    let m = fresh_model();
+    fi::arm("online.empty_neighbors", fi::Policy::Always);
+    // No neighbors: SUR' and SUIR' are missing everywhere, so every
+    // item's bound is SIR' alone or +∞ (ladder rungs).
+    assert_top_n_matches_exhaustive(&m);
+    assert!(fi::fired_count("online.empty_neighbors") > 0);
+    assert_eq!(
+        m.predict_with_breakdown(UserId::new(9), ItemId::new(3))
+            .unwrap()
+            .k_used,
+        0
+    );
+}
+
+#[test]
+fn bounded_top_n_with_nan_estimators_matches_exhaustive_scan() {
+    let _s = scope();
+    let m = fresh_model();
+    let dropped_before = counter("online.degrade.nonfinite_estimator");
+    fi::arm("online.nan_estimator", fi::Policy::Always);
+    // Every SIR' is corrupted to NaN and sanitized away before the bound
+    // is taken, exactly as fusion drops it.
+    assert_top_n_matches_exhaustive(&m);
+    assert!(fi::fired_count("online.nan_estimator") > 0);
+    assert!(counter("online.degrade.nonfinite_estimator") > dropped_before);
+}

@@ -16,7 +16,7 @@ use cf_data::GivenN;
 
 use crate::metrics::evaluate_mae;
 use crate::table::{fmt_mae, fmt_secs, Table};
-use crate::timing::time_predictions;
+use crate::timing::{best_of_alternating, time_predictions};
 
 use super::{ExperimentContext, ExperimentOutput};
 
@@ -32,15 +32,20 @@ pub fn ablations(ctx: &ExperimentContext) -> ExperimentOutput {
     );
     let mut notes = Vec::new();
 
-    // Baseline CFSF.
-    base.clear_caches();
-    let t = time_predictions(&base, &split.holdout);
+    // Baseline CFSF, and 1. global fusion (SF) against local CFSF. The
+    // two latencies are compared, so they are timed in alternation.
+    let sf = ctx.fit_baseline("SF", &split.train);
+    let (t, t_sf) = best_of_alternating(
+        3,
+        || {
+            base.clear_caches();
+            time_predictions(&base, &split.holdout)
+        },
+        || time_predictions(sf.as_ref(), &split.holdout),
+    );
     let mae_base = evaluate_mae(&base, &split.holdout);
     table.push_row(vec!["CFSF (full)".into(), fmt_mae(mae_base), fmt_secs(t)]);
 
-    // 1. Global fusion (SF) against local CFSF.
-    let sf = ctx.fit_baseline("SF", &split.train);
-    let t_sf = time_predictions(sf.as_ref(), &split.holdout);
     let mae_sf = evaluate_mae(sf.as_ref(), &split.holdout);
     table.push_row(vec![
         "global fusion (SF)".into(),

@@ -20,6 +20,23 @@ pub fn time_predictions<P: Predictor + ?Sized>(predictor: &P, holdout: &[Holdout
     start.elapsed()
 }
 
+/// The wall time of `a` and of `b`, each the best of `runs` runs (at least
+/// one) taken in alternation. One sample of a sub-second run is at the
+/// mercy of host noise; alternating makes a noisy stretch slow both sides
+/// rather than one, and the minimum keeps the run with the least noise.
+pub fn best_of_alternating(
+    runs: usize,
+    mut a: impl FnMut() -> Duration,
+    mut b: impl FnMut() -> Duration,
+) -> (Duration, Duration) {
+    let mut best = (a(), b());
+    for _ in 1..runs {
+        best.0 = best.0.min(a());
+        best.1 = best.1.min(b());
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,6 +65,36 @@ mod tests {
         let t_small = time_predictions(&Slow, &small);
         let t_large = time_predictions(&Slow, &large);
         assert!(t_large > t_small, "{t_large:?} !> {t_small:?}");
+    }
+
+    #[test]
+    fn best_of_alternating_keeps_each_sides_fastest_run() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let mut a_samples = [30u64, 10, 20].into_iter();
+        let mut b_samples = [5u64, 7, 6].into_iter();
+        let best = best_of_alternating(
+            3,
+            || {
+                order.borrow_mut().push('a');
+                Duration::from_millis(a_samples.next().unwrap_or(0))
+            },
+            || {
+                order.borrow_mut().push('b');
+                Duration::from_millis(b_samples.next().unwrap_or(0))
+            },
+        );
+        assert_eq!(best, (Duration::from_millis(10), Duration::from_millis(5)));
+        assert_eq!(order.take(), vec!['a', 'b', 'a', 'b', 'a', 'b']);
+        let mut runs = 0;
+        best_of_alternating(
+            0,
+            || {
+                runs += 1;
+                Duration::ZERO
+            },
+            || Duration::ZERO,
+        );
+        assert_eq!(runs, 1);
     }
 
     #[test]

@@ -386,6 +386,30 @@ impl WeightPlanes {
         self.dq.step
     }
 
+    /// An upper bound on any weighted mean of this plane's dequantized
+    /// ratings computed the way the Eq. 12 kernels compute one: weights
+    /// `≥ 0`, numerator and denominator accumulated in any order (plain
+    /// or fused adds), then one division.
+    ///
+    /// Every cell dequantizes to at most `top = MAX_CODE·step + min`
+    /// (IEEE `×` and `+` are monotone, and no code exceeds `MAX_CODE`).
+    /// The accumulation can overshoot `top` by rounding alone, by at most
+    /// `(2n + 2)·u·A` to first order, where `u = 2⁻⁵³`, `A` bounds `|r|`
+    /// and `n` is the number of terms. A mean over distinct cells has
+    /// `n ≤ users·items`, so padding by twice that bound at the plane's
+    /// own cell count covers every such mean (proof: DESIGN.md §6b,
+    /// "Bounded top-N").
+    pub fn rating_ceiling(&self) -> f64 {
+        let max_code = match self.precision {
+            PlanePrecision::U16 => <u16 as QuantCell>::MAX_CODE,
+            PlanePrecision::U8 => <u8 as QuantCell>::MAX_CODE,
+        };
+        let top = max_code as f64 * self.dq.step + self.dq.min;
+        let magnitude = top.abs().max(self.dq.min.abs());
+        let terms = (self.num_users * self.num_items) as f64;
+        top + magnitude * (2.0 * terms + 4.0) * f64::EPSILON
+    }
+
     /// The ε folded into the weight LUT at build time (persistence
     /// validates a stored plane against its config through this).
     #[inline]
@@ -682,6 +706,26 @@ mod tests {
         assert_eq!(w16, w8); // weights never quantized
         assert!((wr8 - 0.65 * 2.5).abs() <= 0.65 * p8.step());
         assert_eq!(p8.cell_bytes() * 2, p16.cell_bytes());
+    }
+
+    #[test]
+    fn rating_ceiling_sits_just_above_the_top_code() {
+        let d = dense();
+        for precision in [PlanePrecision::U16, PlanePrecision::U8] {
+            let p = WeightPlanes::from_dense_with(&d, 0.35, precision);
+            let ceiling = p.rating_ceiling();
+            // The top cell (4.0 = min + MAX_CODE·step) and every other
+            // present cell dequantize to at most the ceiling.
+            for (u, i) in [(0, 0), (0, 2), (1, 1)] {
+                let (w, wr) = p.pair(UserId::new(u), ItemId::new(i));
+                assert!(wr / w <= ceiling, "{precision:?} ({u},{i})");
+            }
+            // The pad is rounding-sized: 6 cells, |r| ≤ 4, 2·(2·6 + 4)·u.
+            assert!(
+                ceiling > 4.0 && ceiling - 4.0 < 1e-13,
+                "{precision:?} {ceiling}"
+            );
+        }
     }
 
     #[test]
