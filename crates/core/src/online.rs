@@ -594,8 +594,8 @@ impl Cfsf {
     /// Kept as the ground truth for the kernel-equivalence property tests
     /// (the fast path must match it within the quantization tolerance
     /// `planes.step() + 1e-9`; availability, `m_used`, and degrade levels
-    /// exactly) and as the baseline the
-    /// `online_throughput` benchmark measures speedups against. Shares
+    /// exactly) and as the baseline of perfbench's `core.kernel_speedup`
+    /// (`core.predict_ref_p50_us` over `core.predict_p50_us`). Shares
     /// [`Cfsf::top_k_users`] with the fast path so both paths predict
     /// from the identical local matrix.
     pub fn predict_with_breakdown_ref(

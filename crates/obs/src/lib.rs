@@ -19,10 +19,7 @@
 //!
 //! Everything is `std`-only and safe code. Instrumentation cost when
 //! metrics are *disabled* ([`set_enabled`]) is one relaxed atomic load
-//! and a branch per record call; the `noop` cargo feature compiles even
-//! that away. `crates/bench/benches/obs_overhead.rs` demonstrates the
-//! enabled-vs-disabled delta on the online path stays within a few
-//! percent.
+//! and a branch per record call.
 //!
 //! ## Reading a snapshot
 //!
@@ -85,14 +82,7 @@ pub fn set_enabled(on: bool) {
 /// Whether metric recording is currently enabled.
 #[inline(always)]
 pub fn enabled() -> bool {
-    #[cfg(feature = "noop")]
-    {
-        false
-    }
-    #[cfg(not(feature = "noop"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 // --------------------------------------------------------------------------

@@ -856,10 +856,11 @@ impl Handler for RouterHandler {
                 generation: self.router.profile_generation(),
                 snapshot: cf_obs::merge::MergeSnapshot::of(cf_obs::global()).to_bytes(),
             }),
-            // The front answers batches pair by pair so each pair gets
-            // the full failover/degradation ladder independently; the
-            // locality win from strip-sorted batching happens on the
-            // shards, which see the per-pair requests of their own users.
+            // Answered pair by pair: each pair goes to its owner shard as
+            // its own `Predict` frame through `Router::predict`, with the
+            // full failover/degradation ladder. So no shard behind the
+            // router receives a batch, and an n-pair batch costs n round
+            // trips (ROADMAP "Route batches as batches").
             Request::PredictBatch { pairs, .. } => Response::Predictions(
                 pairs
                     .into_iter()

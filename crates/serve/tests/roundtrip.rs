@@ -372,6 +372,36 @@ fn router_front_speaks_the_shard_protocol() {
         }
     }
 
+    // A shuffled batch, with one out-of-range user and one out-of-range
+    // item mixed in, answers in request order exactly what the
+    // in-process batch engine answers, `None` at the same positions.
+    let users = model.matrix().num_users() as u32;
+    let items = model.matrix().num_items() as u32;
+    let mut pairs: Vec<(u32, u32)> = (0..48u32)
+        .map(|k| ((k.wrapping_mul(37) + 11) % users, (k * 13 + 5) % items))
+        .collect();
+    pairs.insert(7, (users + 999, 0));
+    pairs.insert(31, (0, items + 999));
+    let local_pairs: Vec<(UserId, ItemId)> = pairs
+        .iter()
+        .map(|&(u, i)| (UserId::new(u), ItemId::new(i)))
+        .collect();
+    let local = model.predict_batch_with_breakdown(&local_pairs, None);
+    let served = client.predict_batch(pairs.clone()).unwrap();
+    assert_eq!(served.len(), local.len());
+    for (k, (remote, local)) in served.iter().zip(&local).enumerate() {
+        match (remote, local) {
+            (Some(r), Some(l)) => {
+                assert_eq!(r.fused.to_bits(), l.fused.to_bits(), "pair {k}");
+                assert_eq!(r.level, l.level.code(), "pair {k}");
+                assert_eq!(r.fallback, l.used_fallback, "pair {k}");
+            }
+            (None, None) => {}
+            other => panic!("pair {k}: router vs local disagree: {other:?}"),
+        }
+    }
+    assert!(served[7].is_none() && served[31].is_none());
+
     front.shutdown();
     for s in shards {
         s.shutdown();
